@@ -50,7 +50,7 @@ def _sig9(value):
 def _emit(data, fmt: str, out: str | None, columns=None) -> None:
     data = _sig9(data)
     if fmt == "json":
-        text = json.dumps(data, indent=2) + "\n"
+        text = json.dumps(data, indent=2, allow_nan=False) + "\n"
     else:
         rows = data if isinstance(data, list) else [data]
         cols = list(columns) if columns else list(rows[0].keys())

@@ -121,9 +121,12 @@ def optimize_phases(
             break
 
     # Purity: a fresh evaluation at the reported phases must reproduce the
-    # reported value bit for bit.
+    # reported value bit for bit.  An explicit check, so it survives -O.
     final_value = objective(x)
-    assert final_value == best
+    if final_value != best:
+        raise RuntimeError(
+            f"re-evaluation at the reported phases gave {final_value!r}, not {best!r}"
+        )
     return OptimizationResult(
         best_value=best,
         best_phases=_assignment_from_vector(x),

@@ -26,19 +26,29 @@ from .statevector import StateVector
 from .wiring import CircuitPlan, compile_sequence, initial_state_for, run
 
 
-def _popcounts(num_qubits: int) -> np.ndarray:
-    idx = np.arange(1 << num_qubits, dtype=np.int64)
-    counts = np.zeros(idx.shape, dtype=np.int64)
-    for b in range(num_qubits):
-        counts += (idx >> b) & 1
-    return counts
+def _qubit_marginals(state: StateVector) -> tuple[np.ndarray, float]:
+    """P(qubit q reads 1) for q = 1..n, and the total probability.
+
+    Successive halving: splitting the probabilities in two separates qubit 1
+    (the most significant bit), and summing the halves marginalizes it out,
+    leaving the same problem on the remaining qubits.  O(2**n) in total.
+    """
+    m = np.abs(state.amplitudes) ** 2
+    ones = np.empty(state.num_qubits)
+    for k in range(state.num_qubits):
+        m = m.reshape(2, -1)
+        ones[k] = m[1].sum()
+        m = m[0] + m[1]
+    return ones, float(m[0])
 
 
 def payoff_expectation(state: StateVector) -> float:
-    """Expected payoff sum((2*popcount(label) - n) * |amp|^2); lies in [-n, n]."""
-    n = state.num_qubits
-    weights = 2 * _popcounts(n) - n
-    return float(np.sum(weights * np.abs(state.amplitudes) ** 2))
+    """Expected payoff sum((2*popcount(label) - n) * |amp|^2); lies in [-n, n].
+
+    Computed from the per-qubit marginals as sum_q (2 * P(q reads 1) - |psi|^2).
+    """
+    ones, norm = _qubit_marginals(state)
+    return float(2.0 * ones.sum() - state.num_qubits * norm)
 
 
 def per_qubit(total: float, num_qubits: int) -> float:
@@ -53,14 +63,8 @@ def outcome_payoff(state: StateVector, plan: CircuitPlan) -> float:
 
     Not used in any reference-table reproduction.
     """
-    n = state.num_qubits
-    probs = np.abs(state.amplitudes) ** 2
-    idx = np.arange(1 << n, dtype=np.int64)
-    total = 0.0
-    for step in plan.steps:
-        bit = (idx >> (n - step.target)) & 1
-        total += float(np.sum((2 * bit - 1) * probs))
-    return total
+    ones, norm = _qubit_marginals(state)
+    return float(sum(2.0 * ones[step.target - 1] - norm for step in plan.steps))
 
 
 @dataclass(frozen=True)

@@ -29,8 +29,9 @@ from .coins import CoinParams, GameBSpec, su2_matrix
 from .statevector import (
     MAX_QUBITS,
     StateVector,
-    apply_single_qubit,
-    apply_two_controlled_multiplexed,
+    apply_single_qubit_inplace,
+    apply_two_controlled_multiplexed_inplace,
+    check_unitary2,
     make_basis_state,
     make_ghz,
 )
@@ -113,18 +114,25 @@ def run(
     b_spec: GameBSpec,
     init: StateVector,
 ) -> StateVector:
-    """Execute every step of the plan against the initial state."""
+    """Execute every step of the plan against the initial state.
+
+    ``init`` is left unchanged.  Its amplitudes are copied once into a private
+    buffer that every game updates in place; the five coin matrices are
+    checked for unitarity once per call, qubit indices once per game, and the
+    final amplitudes are validated once, when they become the returned
+    StateVector.
+    """
     if init.num_qubits != plan.total_qubits:
         raise ValueError(
             f"initial state has {init.num_qubits} qubits, plan needs {plan.total_qubits}"
         )
-    a_mat = su2_matrix(a_params)
-    b_mats = tuple(su2_matrix(p) for p in b_spec.branches)
-    state = init
+    a_mat = check_unitary2(su2_matrix(a_params))
+    b_mats = tuple(check_unitary2(su2_matrix(p)) for p in b_spec.branches)
+    buf = np.array(init.amplitudes)
     for step in plan.steps:
         if step.token == "A":
-            state = apply_single_qubit(state, step.target, a_mat)
+            apply_single_qubit_inplace(buf, step.target, a_mat)
         else:
             hi, lo = step.controls
-            state = apply_two_controlled_multiplexed(state, hi, lo, step.target, b_mats)
-    return state
+            apply_two_controlled_multiplexed_inplace(buf, hi, lo, step.target, b_mats)
+    return StateVector(plan.total_qubits, buf)

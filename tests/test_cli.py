@@ -1,10 +1,15 @@
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 from click.testing import CliRunner
 
+import qparrondo
 from qparrondo.cli import main
 
 
@@ -71,6 +76,44 @@ def test_payoff_rejects_unnormalized_custom_state(runner, tmp_path):
     result = runner.invoke(main, ["payoff", "--sequence", "B", "--init", str(path)])
     assert result.exit_code == 3
     assert "error" in error_text(result)
+
+
+def write_nan_state(tmp_path):
+    # "AB" needs one seed qubit: 3 qubits, 8 amplitudes
+    amps = [[0.0, 0.0]] * 8
+    amps[0] = [float("nan"), 0.0]
+    amps[7] = [1.0, 0.0]
+    path = tmp_path / "nan.json"
+    path.write_text(json.dumps(amps))
+    return path
+
+
+def test_payoff_rejects_nan_custom_state(runner, tmp_path):
+    path = write_nan_state(tmp_path)
+    result = runner.invoke(main, ["payoff", "--sequence", "AB", "--init", str(path)])
+    assert result.exit_code == 3
+    assert result.stdout == ""
+    assert "non-finite" in error_text(result)
+
+
+def test_checks_hold_under_python_O(tmp_path):
+    # -O strips assert statements; input validation and the optimizer's
+    # re-evaluation check must not depend on them
+    src = str(Path(qparrondo.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    cli = [sys.executable, "-O", "-m", "qparrondo.cli"]
+
+    def call(*args):
+        return subprocess.run(cli + list(args), capture_output=True, text=True, env=env, timeout=300)
+
+    bad = call("payoff", "--sequence", "AB", "--init", str(write_nan_state(tmp_path)))
+    assert bad.returncode == 3
+    assert bad.stdout == ""
+    assert "non-finite" in bad.stderr
+
+    ok = call("optimize", "--sequence", "AAB")
+    assert ok.returncode == 0, ok.stderr
+    assert json.loads(ok.stdout)["best_value"] == pytest.approx(0.2707138, abs=1e-5)
 
 
 def test_payoff_with_phases_file(runner, tmp_path):

@@ -34,6 +34,22 @@ def literal_payoff(state: StateVector) -> float:
     return total
 
 
+def popcount_payoff(state: StateVector) -> float:
+    """Oracle: weight each basis label by 2 * popcount - n over the whole state."""
+    n = state.num_qubits
+    idx = np.arange(1 << n, dtype=np.int64)
+    counts = sum((idx >> b) & 1 for b in range(n))
+    return float(np.sum((2 * counts - n) * np.abs(state.amplitudes) ** 2))
+
+
+def target_bit_payoff(state: StateVector, plan) -> float:
+    """Oracle for outcome_payoff: +1/-1 per game-target bit, read off the index."""
+    n = state.num_qubits
+    probs = np.abs(state.amplitudes) ** 2
+    idx = np.arange(1 << n, dtype=np.int64)
+    return sum(float(np.sum((2 * ((idx >> (n - s.target)) & 1) - 1) * probs)) for s in plan.steps)
+
+
 def random_state(n, rng):
     amps = rng.standard_normal(1 << n) + 1j * rng.standard_normal(1 << n)
     return StateVector(n, amps / np.linalg.norm(amps))
@@ -69,6 +85,16 @@ def test_popcount_formulation_matches_literal_sum():
     for _ in range(10):
         s = random_state(4, rng)
         assert abs(payoff_expectation(s) - literal_payoff(s)) < ATOL
+
+
+@pytest.mark.parametrize("n", range(1, 13))
+def test_marginal_payoff_matches_popcount_formula(n):
+    rng = np.random.default_rng(500 + n)
+    plan = compile_sequence("B" * (n - 2) if n >= 3 else "A" * n)
+    for _ in range(3):
+        s = random_state(n, rng)
+        assert abs(payoff_expectation(s) - popcount_payoff(s)) < ATOL
+        assert abs(outcome_payoff(s, plan) - target_bit_payoff(s, plan)) < ATOL
 
 
 def test_global_phase_invariance():

@@ -1,18 +1,23 @@
 import math
+from itertools import permutations
 
 import numpy as np
 import pytest
 
-from qparrondo.coins import CoinParams, su2_matrix
+from qparrondo import statevector
+from qparrondo.coins import CoinParams, PhaseAssignment, games_from_bias, su2_matrix
 from qparrondo.statevector import (
     MAX_QUBITS,
     StateVector,
     apply_single_qubit,
+    apply_single_qubit_inplace,
     apply_two_controlled_multiplexed,
+    apply_two_controlled_multiplexed_inplace,
     check_unitary2,
     make_basis_state,
     make_ghz,
 )
+from qparrondo.wiring import compile_sequence, initial_state_for, run
 
 ATOL = 1e-12
 
@@ -99,6 +104,14 @@ def test_ghz_amplitudes(n):
 def test_statevector_rejects_unnormalized():
     with pytest.raises(ValueError, match="not normalized"):
         StateVector(2, np.array([1.0, 1.0, 0.0, 0.0]))
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, complex(0.0, np.nan)])
+def test_statevector_rejects_non_finite_amplitudes(bad):
+    amps = np.array([1.0, 0.0, 0.0, 0.0], dtype=complex)
+    amps[1] = bad
+    with pytest.raises(ValueError, match="non-finite"):
+        StateVector(2, amps)
 
 
 def test_statevector_rejects_wrong_length():
@@ -303,3 +316,93 @@ def test_check_unitary2_accepts_su2_and_rejects_junk():
         check_unitary2(random_unitary(rng))
     with pytest.raises(ValueError):
         check_unitary2(np.eye(3))
+
+
+# --- in-place kernels against the reference kernels ---
+
+# Shrinking the block and row thresholds sends small states through every
+# branch of the blocked update (column walks, row chunks, per-row recursion)
+# that the default thresholds reserve for states above 12 qubits.
+BLOCKINGS = {"default": None, "tiny-blocks": (4, 4)}
+
+
+@pytest.fixture(params=sorted(BLOCKINGS))
+def blocking(request, monkeypatch):
+    if BLOCKINGS[request.param] is not None:
+        block, min_row = BLOCKINGS[request.param]
+        monkeypatch.setattr(statevector, "_BLOCK", block)
+        monkeypatch.setattr(statevector, "_MIN_ROW", min_row)
+    return request.param
+
+
+def check_inplace_against_reference(s, rng, targets, triples):
+    n = s.num_qubits
+    for target in targets:
+        u = random_unitary(rng)
+        buf = np.array(s.amplitudes)
+        apply_single_qubit_inplace(buf, target, u)
+        assert np.allclose(buf, ref_apply_single(s.amplitudes, n, target, u), atol=ATOL)
+    for hi, lo, target in triples:
+        mats = [random_unitary(rng) for _ in range(4)]
+        buf = np.array(s.amplitudes)
+        apply_two_controlled_multiplexed_inplace(buf, hi, lo, target, mats)
+        ref = ref_apply_multiplexed(s.amplitudes, n, hi, lo, target, mats)
+        assert np.allclose(buf, ref, atol=ATOL), (hi, lo, target)
+
+
+@pytest.mark.parametrize("n", range(3, 9))
+def test_inplace_kernels_match_reference_for_every_qubit_ordering(n, blocking):
+    # every (control_hi, control_lo, target) triple, so every relative order,
+    # including targets below, between and above their controls
+    rng = np.random.default_rng(300 + n)
+    qubits = range(1, n + 1)
+    check_inplace_against_reference(random_state(n, rng), rng, qubits, permutations(qubits, 3))
+
+
+def test_inplace_kernels_match_reference_above_block_size():
+    # 16 qubits: every view the kernels update is larger than the default
+    # block, so the default thresholds take the blocked branches too
+    rng = np.random.default_rng(316)
+    triples = [(14, 15, 16), (1, 2, 3), (16, 1, 8), (3, 9, 2)]
+    check_inplace_against_reference(random_state(16, rng), rng, (1, 8, 13, 16), triples)
+
+
+# --- run against a gate-by-gate chain of the public wrappers ---
+
+def random_run_case(rng):
+    while True:
+        seq = "".join(rng.choice(["A", "B"], size=int(rng.integers(1, 9))))
+        plan = compile_sequence(seq)
+        if plan.total_qubits <= 10:
+            break
+    kind = ("zero", "ghz", "custom")[int(rng.integers(3))]
+    init = random_state(plan.total_qubits, rng) if kind == "custom" else kind
+    phases = PhaseAssignment(
+        gamma=rng.uniform(0, 2 * math.pi),
+        delta=rng.uniform(0, 2 * math.pi),
+        alphas=tuple(rng.uniform(0, 2 * math.pi, 4)),
+        betas=tuple(rng.uniform(0, 2 * math.pi, 4)),
+    )
+    eps = rng.uniform(-0.09, 0.09)
+    return plan, initial_state_for(plan, init), games_from_bias(eps, phases)
+
+
+def test_run_matches_chain_of_public_wrappers():
+    rng = np.random.default_rng(401)
+    for _ in range(60):
+        plan, init, (a, b) = random_run_case(rng)
+        before = init.amplitudes.copy()
+        out = run(plan, a, b, init)
+        assert np.array_equal(init.amplitudes, before)
+
+        a_mat = su2_matrix(a)
+        b_mats = tuple(su2_matrix(p) for p in b.branches)
+        chain = init
+        for step in plan.steps:
+            if step.token == "A":
+                chain = apply_single_qubit(chain, step.target, a_mat)
+            else:
+                hi, lo = step.controls
+                chain = apply_two_controlled_multiplexed(chain, hi, lo, step.target, b_mats)
+        assert np.allclose(out.amplitudes, chain.amplitudes, atol=ATOL, rtol=0.0), plan.sequence
+
