@@ -3,7 +3,7 @@ and classical analysis, with JSON or CSV output.
 
 Exit codes: 0 on success, 2 for command-line usage errors, 3 when an input
 value fails validation (bad sequence alphabet, out-of-range bias, malformed
-phases file, non-normalized custom state, ...).
+phases file, non-finite or non-normalized custom state, ...).
 
 Phase files are JSON documents of the form
 
@@ -12,7 +12,9 @@ Phase files are JSON documents of the form
 
 with angles in radians and the B entries in history order (lost,lost),
 (lost,won), (won,lost), (won,won).  Custom initial states are JSON arrays
-of [re, im] pairs of length 2**num_qubits, norm-checked on load.
+of [re, im] pairs of length 2**num_qubits, checked on load for finite
+entries and unit norm.  JSON output is strict: a non-finite number is an
+error (exit code 3), never a bare NaN.
 """
 from __future__ import annotations
 

@@ -26,29 +26,30 @@ from .statevector import StateVector
 from .wiring import CircuitPlan, compile_sequence, initial_state_for, run
 
 
-def _qubit_marginals(state: StateVector) -> tuple[np.ndarray, float]:
-    """P(qubit q reads 1) for q = 1..n, and the total probability.
+def _qubit_biases(state: StateVector) -> np.ndarray:
+    """P(qubit q reads 1) - P(qubit q reads 0) for q = 1..n.
 
     Successive halving: splitting the probabilities in two separates qubit 1
     (the most significant bit), and summing the halves marginalizes it out,
     leaving the same problem on the remaining qubits.  O(2**n) in total.
+    Each difference is summed directly rather than formed as 2 P(1) - |psi|^2,
+    which would cancel to a few ulps of |psi|^2 on a near-zero payoff.
     """
     m = np.abs(state.amplitudes) ** 2
-    ones = np.empty(state.num_qubits)
+    biases = np.empty(state.num_qubits)
     for k in range(state.num_qubits):
         m = m.reshape(2, -1)
-        ones[k] = m[1].sum()
+        biases[k] = (m[1] - m[0]).sum()
         m = m[0] + m[1]
-    return ones, float(m[0])
+    return biases
 
 
 def payoff_expectation(state: StateVector) -> float:
     """Expected payoff sum((2*popcount(label) - n) * |amp|^2); lies in [-n, n].
 
-    Computed from the per-qubit marginals as sum_q (2 * P(q reads 1) - |psi|^2).
+    Computed from the per-qubit marginals as sum_q (P(q reads 1) - P(q reads 0)).
     """
-    ones, norm = _qubit_marginals(state)
-    return float(2.0 * ones.sum() - state.num_qubits * norm)
+    return float(_qubit_biases(state).sum())
 
 
 def per_qubit(total: float, num_qubits: int) -> float:
@@ -63,8 +64,8 @@ def outcome_payoff(state: StateVector, plan: CircuitPlan) -> float:
 
     Not used in any reference-table reproduction.
     """
-    ones, norm = _qubit_marginals(state)
-    return float(sum(2.0 * ones[step.target - 1] - norm for step in plan.steps))
+    biases = _qubit_biases(state)
+    return float(sum(biases[step.target - 1] for step in plan.steps))
 
 
 @dataclass(frozen=True)
