@@ -271,21 +271,23 @@ def paradox_threshold(
     hi: float = 0.05,
     tol: float = 1e-10,
 ) -> float | None:
-    """Bias where the payoff crosses zero, by bisection on [lo, hi].
+    """Bias in [lo, hi] where the payoff crosses zero.
 
     ``target`` is either a policy name 'A' / 'B' / 'mix' (stationary
     per-game payoff) or a multi-token sequence string (per-qubit payoff,
     uniform seeds).  Returns None when the payoff has no sign change on the
-    interval.
+    interval, and ``lo`` when the payoff there is zero within 1e-13.
 
-    Policy thresholds are zeros of the exact stationary payoff.  Sequence
-    thresholds are zeros of the first-order payoff c0 + c1*eps: finite
-    sequences are reported to first order in the bias throughout this
-    package, and the published sequence thresholds are the zeros of that
-    first-order form (the exact enumerated payoff of a finite sequence has
-    higher-order bias terms that shift its root by a few 1e-5).
+    Policy thresholds are zeros of the exact stationary payoff, found by
+    bisection to ``tol``.  Sequence thresholds are zeros of the first-order
+    payoff c0 + c1*eps, returned in closed form as -c0/c1: finite sequences
+    are reported to first order in the bias throughout this package, and the
+    published sequence thresholds are the zeros of that first-order form (the
+    exact enumerated payoff of a finite sequence has higher-order bias terms
+    that shift its root by a few 1e-5).
     """
-    if target in ("A", "B", "mix"):
+    policy = target in ("A", "B", "mix")
+    if policy:
         def f(eps: float) -> float:
             return stationary_payoff(target, eps, q)
     else:
@@ -303,6 +305,9 @@ def paradox_threshold(
     f_hi = f(hi)
     if f_hi > 0.0:
         return None
+    if not policy:
+        # f(lo) > 0 >= f(hi) with hi > lo, so the slope c1 is negative.
+        return -c0 / c1
     a, b = lo, hi
     while b - a > tol:
         mid = 0.5 * (a + b)

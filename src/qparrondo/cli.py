@@ -13,7 +13,9 @@ Phase files are JSON documents of the form
 with angles in radians and the B entries in history order (lost,lost),
 (lost,won), (won,lost), (won,won).  Custom initial states are JSON arrays
 of [re, im] pairs of length 2**num_qubits, checked on load for finite
-entries and unit norm.  JSON output is strict: a non-finite number is an
+entries and unit norm; they run on the dense statevector, so at most 24
+qubits.  "zero" and "ghz" need no statevector and take sequences of any
+length.  JSON output is strict: a non-finite number is an
 error (exit code 3), never a bare NaN.
 """
 from __future__ import annotations
@@ -33,9 +35,9 @@ from .classical import (
 )
 from .coins import PhaseAssignment, games_from_bias
 from .optimize import optimize_phases
-from .payoff import payoff_epsilon_expansion, payoff_expectation, per_qubit
+from .payoff import _evaluator, payoff_epsilon_expansion, per_qubit
 from .table import TABLE_COLUMNS, build_table
-from .wiring import compile_sequence, initial_state_for, run
+from .wiring import compile_sequence, initial_state_for
 
 
 def _sig9(value):
@@ -91,8 +93,9 @@ def _load_phases(path: str | None) -> PhaseAssignment | None:
 
 
 def _load_init(init: str, plan):
+    """Pass "zero" and "ghz" through by name; load anything else as a state file."""
     if init in ("zero", "ghz"):
-        return initial_state_for(plan, init)
+        return init
     try:
         doc = json.loads(Path(init).read_text())
     except (OSError, json.JSONDecodeError) as exc:
@@ -138,8 +141,7 @@ def cmd_payoff(sequence, init, eps, phases_path, normalized, fmt, out):
         plan = compile_sequence(sequence)
         phases = _load_phases(phases_path)
         state = _load_init(init, plan)
-        a, b = games_from_bias(eps, phases)
-        total = payoff_expectation(run(plan, a, b, state))
+        total = _evaluator(plan, state)(*games_from_bias(eps, phases))
         expansion = payoff_epsilon_expansion(sequence, state, phases, normalize=normalized)
         _emit(
             {

@@ -89,12 +89,18 @@ class GameBSpec:
         object.__setattr__(self, "branches", tuple(self.branches))
 
 
+def _check_finite_angle(name: str, value: float) -> None:
+    if not math.isfinite(value):
+        raise ValueError(f"phase angle {name}={value!r} must be finite")
+
+
 @dataclass(frozen=True)
 class PhaseAssignment:
     """Full phase assignment: game A's (gamma, delta) and per-branch (alpha, beta).
 
     Amplitude angles are not part of this; they come from the bias.  Angles
-    may be given outside [0, 2*pi]; builders reduce them mod 2*pi.
+    may be given outside [0, 2*pi]; builders reduce them mod 2*pi.  Every
+    angle must be finite.
     """
 
     gamma: float = 0.0
@@ -107,9 +113,13 @@ class PhaseAssignment:
             v = tuple(float(x) for x in getattr(self, name))
             if len(v) != 4:
                 raise ValueError(f"{name} must have exactly 4 entries, got {len(v)}")
+            for k, x in enumerate(v):
+                _check_finite_angle(f"{name}[{k}]", x)
             object.__setattr__(self, name, v)
-        object.__setattr__(self, "gamma", float(self.gamma))
-        object.__setattr__(self, "delta", float(self.delta))
+        for name in ("gamma", "delta"):
+            v = float(getattr(self, name))
+            _check_finite_angle(name, v)
+            object.__setattr__(self, name, v)
 
 
 def reduce_angle(x: float) -> float:

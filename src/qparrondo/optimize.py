@@ -17,8 +17,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .coins import PhaseAssignment, games_from_bias
-from .payoff import payoff_expectation, per_qubit
-from .wiring import compile_sequence, initial_state_for, run
+from .payoff import _evaluator, per_qubit
+from .wiring import compile_sequence
 
 COORD_NAMES = (
     "gamma",
@@ -67,15 +67,15 @@ def optimize_phases(
         raise ValueError(f"direction must be 'max' or 'min', got {direction!r}")
     sign = 1.0 if direction == "max" else -1.0
     plan = compile_sequence(seq)
-    init_state = initial_state_for(plan, init)
+    evaluate = _evaluator(plan, init)
 
     evaluations = 0
 
     def objective(x: np.ndarray) -> float:
         nonlocal evaluations
         evaluations += 1
-        a, b = games_from_bias(eps, _assignment_from_vector(x))
-        return per_qubit(payoff_expectation(run(plan, a, b, init_state)), plan.total_qubits)
+        total = evaluate(*games_from_bias(eps, _assignment_from_vector(x)))
+        return per_qubit(total, plan.total_qubits)
 
     x = np.zeros(len(COORD_NAMES))
     grid = np.linspace(0.0, 2.0 * np.pi, grid_points, endpoint=False)

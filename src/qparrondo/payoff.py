@@ -14,15 +14,23 @@ Payoffs are reported "to first order" as a pair (c0, c1), payoff ~ c0 +
 c1*eps, with c1 obtained by a central finite difference.  The payoff is a
 smooth trigonometric function of eps through arccos(sqrt(p + eps)), so the
 default step h = 1e-4 leaves truncation error far below reporting tolerance.
+
+Every evaluation goes through one selection point, ``_evaluator``: the
+all-zero and GHZ states, named by the strings "zero" and "ghz", take the
+linear-time transfer-matrix walk of ``transfer`` (any sequence length); a
+StateVector or an amplitude array takes the dense ``wiring.run`` (at most
+MAX_QUBITS qubits).
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
-from .coins import PhaseAssignment, games_from_bias
+from .coins import CoinParams, GameBSpec, PhaseAssignment, games_from_bias
 from .statevector import StateVector
+from .transfer import TRANSFER_KINDS, transfer_total
 from .wiring import CircuitPlan, compile_sequence, initial_state_for, run
 
 
@@ -68,6 +76,19 @@ def outcome_payoff(state: StateVector, plan: CircuitPlan) -> float:
     return float(sum(biases[step.target - 1] for step in plan.steps))
 
 
+def _evaluator(plan: CircuitPlan, init) -> Callable[[CoinParams, GameBSpec], float]:
+    """The total payoff of ``plan`` on ``init`` as a function of the two games.
+
+    The strings "zero" and "ghz" take the linear-time transfer-matrix walk
+    (``transfer``); a StateVector or an amplitude array takes the dense
+    ``run``, with the initial state built and validated once, here.
+    """
+    if isinstance(init, str) and init in TRANSFER_KINDS:
+        return lambda a, b: transfer_total(plan, a, b, init)
+    state = initial_state_for(plan, init)
+    return lambda a, b: payoff_expectation(run(plan, a, b, state))
+
+
 @dataclass(frozen=True)
 class PayoffExpansion:
     """Payoff ~ c0 + c1 * eps; per_qubit records the normalization used."""
@@ -84,11 +105,9 @@ def sequence_payoff(
     init="ghz",
     normalize: bool = True,
 ) -> float:
-    """Simulate one sequence at one bias and return its payoff."""
+    """Evaluate one sequence at one bias and return its payoff."""
     plan = compile_sequence(seq)
-    state = initial_state_for(plan, init)
-    a, b = games_from_bias(eps, phases)
-    total = payoff_expectation(run(plan, a, b, state))
+    total = _evaluator(plan, init)(*games_from_bias(eps, phases))
     return per_qubit(total, plan.total_qubits) if normalize else total
 
 
@@ -103,11 +122,10 @@ def payoff_epsilon_expansion(
     if not 0.0 < h < 0.1:
         raise ValueError(f"finite-difference step h={h!r} must lie in (0, 0.1)")
     plan = compile_sequence(seq)
-    state = initial_state_for(plan, init)
+    evaluate = _evaluator(plan, init)
 
     def value(eps: float) -> float:
-        a, b = games_from_bias(eps, phases)
-        total = payoff_expectation(run(plan, a, b, state))
+        total = evaluate(*games_from_bias(eps, phases))
         return per_qubit(total, plan.total_qubits) if normalize else total
 
     c0 = value(0.0)

@@ -15,8 +15,10 @@ initial state into one such buffer, validates the coin matrices once, runs
 every game on it and wraps the result once; the in-place kernels check only
 qubit indices and trust their caller for the rest.
 
-Capacity is capped at MAX_QUBITS = 24 (about 256 MiB of amplitudes), which
-comfortably covers every register this package needs.
+Capacity is capped at MAX_QUBITS = 24 (about 256 MiB of amplitudes).  The cap
+binds the dense path only: sequences of any length compile, and on the
+all-zero and GHZ states their payoff comes from the linear-time walk in
+``transfer``, which allocates no statevector.
 """
 from __future__ import annotations
 
@@ -70,9 +72,18 @@ def check_unitary2(u: np.ndarray) -> np.ndarray:
     m = np.asarray(u, dtype=complex)
     if m.shape != (2, 2):
         raise ValueError(f"expected a 2x2 matrix, got shape {m.shape}")
-    if not np.allclose(m.conj().T @ m, np.eye(2), atol=STRUCTURAL_TOL, rtol=0.0):
+    # Entries of m^H m - I and det(m) from the four scalars.  Every bound is
+    # tested as "<=", which a NaN fails, so NaN and infinite entries are
+    # rejected too (max() would not do: it can drop a NaN).
+    (p, q), (r, s) = m.tolist()
+    gram_errors = (
+        abs(p) ** 2 + abs(r) ** 2 - 1.0,
+        abs(q) ** 2 + abs(s) ** 2 - 1.0,
+        p.conjugate() * q + r.conjugate() * s,
+    )
+    if not all(abs(e) <= STRUCTURAL_TOL for e in gram_errors):
         raise ValueError("matrix is not unitary within tolerance")
-    if abs(abs(np.linalg.det(m)) - 1.0) > STRUCTURAL_TOL:
+    if not abs(abs(p * s - q * r) - 1.0) <= STRUCTURAL_TOL:
         raise ValueError("matrix determinant does not have unit modulus")
     return m
 

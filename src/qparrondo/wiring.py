@@ -27,7 +27,6 @@ import numpy as np
 
 from .coins import CoinParams, GameBSpec, su2_matrix
 from .statevector import (
-    MAX_QUBITS,
     StateVector,
     apply_single_qubit_inplace,
     apply_two_controlled_multiplexed_inplace,
@@ -74,8 +73,6 @@ def compile_sequence(seq: str) -> CircuitPlan:
     first_b = tokens.find("B")
     seed_count = 0 if first_b < 0 else max(0, 2 - first_b)
     total = seed_count + len(tokens)
-    if total > MAX_QUBITS:
-        raise ValueError(f"sequence needs {total} qubits, exceeding the {MAX_QUBITS}-qubit cap")
 
     outcomes = list(range(1, seed_count + 1))
     steps = []

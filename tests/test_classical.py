@@ -170,6 +170,16 @@ def test_aab_sequence_threshold():
     assert abs(paradox_threshold("AAB") - 1 / 112) < 1e-6
 
 
+@pytest.mark.parametrize("seq", ["AAB", "AB", "BB", "AABAAB"])
+def test_sequence_threshold_is_the_first_order_root(seq):
+    c0, c1 = classical_sequence_expansion(seq)
+    assert paradox_threshold(seq) == -c0 / c1
+
+
+def test_aab_sequence_threshold_has_no_bisection_error():
+    assert abs(paradox_threshold("AAB") - 1 / 112) < 1e-14
+
+
 def test_even_mixture_threshold():
     assert abs(paradox_threshold("mix") - 1 / 168) < 1e-6
 

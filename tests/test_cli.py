@@ -143,6 +143,37 @@ def test_payoff_rejects_malformed_phases_file(runner, tmp_path):
     assert "delta" in text or "'B'" in text
 
 
+def test_payoff_rejects_nan_phase_with_exit_3(runner, tmp_path):
+    path = tmp_path / "phases.json"
+    path.write_text(
+        '{"A": {"gamma": NaN, "delta": 0.0}, "B": ['
+        + ", ".join(['{"alpha": 0.0, "beta": 0.0}'] * 4)
+        + "]}"
+    )
+    result = runner.invoke(main, ["payoff", "--sequence", "AAB", "--phases", str(path)])
+    assert result.exit_code == 3
+    assert result.stdout == ""
+    assert "gamma" in error_text(result)
+
+
+def test_payoff_of_a_sequence_past_the_dense_cap(runner):
+    sequence = "AABBA" * 6  # 30 tokens and 30 qubits: the first B has two A's before it
+    out = parse_json(invoke(runner, "payoff", "--sequence", sequence, "--init", "ghz"))
+    assert out["qubits"] == 30
+    for key in ("payoff_total", "payoff_per_qubit", "c0", "c1"):
+        assert math.isfinite(out[key])
+
+
+def test_payoff_rejects_custom_state_past_the_dense_cap(runner, tmp_path):
+    # The plan needs 25 qubits; a custom state runs on the dense statevector,
+    # which refuses it before reading its amplitudes.
+    path = tmp_path / "state.json"
+    path.write_text(json.dumps([[1.0, 0.0], [0.0, 0.0]]))
+    result = runner.invoke(main, ["payoff", "--sequence", "A" * 25, "--init", str(path)])
+    assert result.exit_code == 3
+    assert "cap" in error_text(result)
+
+
 def test_payoff_rejects_bad_sequence_with_exit_3(runner):
     result = runner.invoke(main, ["payoff", "--sequence", "AXB"])
     assert result.exit_code == 3

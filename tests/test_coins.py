@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -167,6 +168,20 @@ def test_games_from_bias_builds_both_operators():
 def test_phase_assignment_validates_lengths():
     with pytest.raises(ValueError):
         PhaseAssignment(alphas=(0.0, 0.0))
+
+
+@pytest.mark.parametrize(
+    "kwargs, field",
+    [
+        ({"gamma": math.nan}, "gamma"),
+        ({"delta": math.inf}, "delta"),
+        ({"alphas": (0.0, -math.inf, 0.0, 0.0)}, "alphas[1]"),
+        ({"betas": (0.0, 0.0, 0.0, math.nan)}, "betas[3]"),
+    ],
+)
+def test_phase_assignment_rejects_non_finite_angles(kwargs, field):
+    with pytest.raises(ValueError, match=re.escape(field) + "=.* must be finite"):
+        PhaseAssignment(**kwargs)
 
 
 def test_game_b_spec_needs_four_branches():

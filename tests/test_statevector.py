@@ -17,6 +17,7 @@ from qparrondo.statevector import (
     make_basis_state,
     make_ghz,
 )
+from qparrondo.tolerances import STRUCTURAL_TOL
 from qparrondo.wiring import compile_sequence, initial_state_for, run
 
 ATOL = 1e-12
@@ -316,6 +317,32 @@ def test_check_unitary2_accepts_su2_and_rejects_junk():
         check_unitary2(random_unitary(rng))
     with pytest.raises(ValueError):
         check_unitary2(np.eye(3))
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, complex(np.nan, 0.0)])
+def test_check_unitary2_rejects_non_finite_entries(bad):
+    for index in np.ndindex(2, 2):
+        m = np.eye(2, dtype=complex)
+        m[index] = bad
+        with pytest.raises(ValueError, match="not unitary"):
+            check_unitary2(m)
+
+
+def test_check_unitary2_tolerance_matches_the_allclose_rule():
+    # max |(m^H m - I)_ij| <= STRUCTURAL_TOL, as np.allclose(atol, rtol=0)
+    rng = np.random.default_rng(84)
+    u = random_unitary(rng)
+    for scale in (1 + 4e-13, 1 + 6e-13, 1 - 4e-13, 1 - 6e-13):
+        m = u * np.array([[scale], [1.0]])
+        gram = m.conj().T @ m
+        within = np.allclose(gram, np.eye(2), atol=STRUCTURAL_TOL, rtol=0.0)
+        if within and abs(abs(np.linalg.det(m)) - 1.0) <= STRUCTURAL_TOL:
+            check_unitary2(m)
+        else:
+            with pytest.raises(ValueError):
+                check_unitary2(m)
+    with pytest.raises(ValueError, match="not unitary"):
+        check_unitary2(np.array([[1.0, 1e-11], [0.0, 1.0]]))
 
 
 # --- in-place kernels against the reference kernels ---

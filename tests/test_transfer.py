@@ -1,0 +1,143 @@
+import math
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from qparrondo import payoff, transfer
+from qparrondo.classical import classical_sequence_payoff
+from qparrondo.coins import PhaseAssignment, games_from_bias
+from qparrondo.optimize import optimize_phases
+from qparrondo.payoff import payoff_epsilon_expansion, payoff_expectation, sequence_payoff
+from qparrondo.statevector import make_ghz
+from qparrondo.table import build_table
+from qparrondo.transfer import transfer_total
+from qparrondo.wiring import compile_sequence, initial_state_for, run
+
+ATOL = 1e-12
+
+# Deterministic example generation, no example database written to disk.
+PROPERTY = settings(max_examples=300, deadline=None, derandomize=True, database=None)
+
+angles = st.floats(0.0, 2 * math.pi, exclude_max=True)
+phase_assignments = st.builds(
+    PhaseAssignment,
+    gamma=angles,
+    delta=angles,
+    alphas=st.tuples(angles, angles, angles, angles),
+    betas=st.tuples(angles, angles, angles, angles),
+)
+small_sequences = st.text("AB", min_size=1, max_size=10).filter(
+    lambda seq: compile_sequence(seq).total_qubits <= 10
+)
+
+
+def dense_total(plan, a, b, kind):
+    return payoff_expectation(run(plan, a, b, initial_state_for(plan, kind)))
+
+
+# --- differential: transfer-matrix walk against the dense engine ---
+
+@PROPERTY
+@given(
+    seq=small_sequences,
+    phases=phase_assignments,
+    eps=st.floats(-0.09, 0.09, exclude_min=True, exclude_max=True),
+    kind=st.sampled_from(["zero", "ghz"]),
+)
+def test_transfer_matches_dense_engine(seq, phases, eps, kind):
+    plan = compile_sequence(seq)
+    a, b = games_from_bias(eps, phases)
+    assert abs(transfer_total(plan, a, b, kind) - dense_total(plan, a, b, kind)) <= ATOL
+
+
+@pytest.mark.parametrize("kind", ["zero", "ghz"])
+@pytest.mark.parametrize("seq", ["B" * 19, "AAB" * 7 + "A", "ABBAB" * 4])
+def test_transfer_matches_dense_engine_on_large_registers(seq, kind):
+    rng = np.random.default_rng(3)
+    x = rng.uniform(0, 2 * math.pi, 10)
+    a, b = games_from_bias(0.01, PhaseAssignment(x[0], x[1], tuple(x[2:6]), tuple(x[6:])))
+    plan = compile_sequence(seq)
+    assert abs(transfer_total(plan, a, b, kind) - dense_total(plan, a, b, kind)) <= ATOL
+
+
+# --- sequences beyond the dense cap ---
+
+def test_zero_state_matches_classical_oracle_far_past_the_cap():
+    # On the all-zero state the quantum payoff is the classical one with
+    # (loss, loss) seeds, for any phases; the classical oracle is linear-time.
+    rng = np.random.default_rng(11)
+    seq = "".join(rng.choice(["A", "B"], size=400))
+    phases = PhaseAssignment(1.0, 2.0, (0.1, 0.2, 0.3, 0.4), (3.0, 2.0, 1.0, 0.5))
+    for eps in (0.0, 0.004):
+        quantum = sequence_payoff(seq, eps, phases, init="zero")
+        assert quantum == pytest.approx(classical_sequence_payoff(seq, eps, seeds=(0, 0)), abs=1e-9)
+
+
+def test_aab_blocks_on_3000_qubits():
+    plan = compile_sequence("AAB" * 1000)
+    assert plan.total_qubits == 3000
+    a, b = games_from_bias(0.0)
+    # AAB blocks on the all-zero state do not feed each other: 1000 x 1/20.
+    assert transfer_total(plan, a, b, "zero") == pytest.approx(50.0, abs=1e-9)
+    assert transfer_total(plan, a, b, "ghz") == pytest.approx(0.0, abs=1e-9)
+
+
+@pytest.mark.parametrize("repetitions", [12, 50])
+def test_repeated_aab_row_keeps_its_expansion_past_the_cap(repetitions):
+    row = next(r for r in build_table(repetitions) if r["label"] == "AAB...AAB")
+    assert row["qubits"] == 3 * repetitions
+    assert row["quantum_c0"] == pytest.approx(0.0, abs=1e-9)
+    assert row["quantum_c1"] == pytest.approx(2 / 15, abs=1e-6)
+
+
+def test_optimizer_runs_past_the_cap():
+    result = optimize_phases("B" * 30, max_sweeps=1, grid_points=8)
+    assert math.isfinite(result.best_value)
+    assert result.best_value == sequence_payoff("B" * 30, init="ghz", phases=result.best_phases)
+
+
+# --- checks the walk shares with the dense engine ---
+
+def test_unknown_kind_is_rejected():
+    a, b = games_from_bias(0.0)
+    with pytest.raises(ValueError, match="uniform"):
+        transfer_total(compile_sequence("AB"), a, b, "uniform")
+    with pytest.raises(ValueError, match="unknown initial-state kind"):
+        sequence_payoff("AB", init="uniform")
+
+
+def test_coin_matrices_are_checked(monkeypatch):
+    monkeypatch.setattr(transfer, "su2_matrix", lambda p: 1.5 * np.eye(2))
+    a, b = games_from_bias(0.0)
+    with pytest.raises(ValueError, match="not unitary"):
+        transfer_total(compile_sequence("AAB"), a, b, "ghz")
+
+
+def test_norm_drift_is_rejected(monkeypatch):
+    monkeypatch.setitem(transfer._BRANCHES, "ghz", (1.0, 1.0))
+    a, b = games_from_bias(0.0)
+    with pytest.raises(ValueError, match="normalization"):
+        transfer_total(compile_sequence("AAB"), a, b, "ghz")
+
+
+# --- backend selection ---
+
+def _fail(*args, **kwargs):
+    raise AssertionError("wrong backend")
+
+
+@pytest.mark.parametrize("kind", ["zero", "ghz"])
+def test_named_states_take_the_transfer_walk(monkeypatch, kind):
+    monkeypatch.setattr(payoff, "run", _fail)
+    monkeypatch.setattr(payoff, "initial_state_for", _fail)
+    assert math.isfinite(sequence_payoff("ABBAB", 0.01, init=kind))
+    assert math.isfinite(payoff_epsilon_expansion("ABBAB", init=kind).c1)
+
+
+def test_custom_states_take_the_dense_engine(monkeypatch):
+    monkeypatch.setattr(payoff, "transfer_total", _fail)
+    ghz = make_ghz(3)
+    assert sequence_payoff("B", init=ghz) == pytest.approx(1 / 15, abs=ATOL)
+    assert sequence_payoff("B", init=ghz.amplitudes) == pytest.approx(1 / 15, abs=ATOL)

@@ -76,9 +76,12 @@ def test_compile_rejects_bad_sequences(seq):
         compile_sequence(seq)
 
 
-def test_compile_rejects_oversized_sequences():
-    with pytest.raises(ValueError, match="cap"):
-        compile_sequence("A" * 30)
+def test_qubit_cap_applies_to_the_dense_path_only():
+    plan = compile_sequence("A" * 30)
+    assert plan.total_qubits == 30
+    for kind in ("zero", "ghz", np.zeros(4)):
+        with pytest.raises(ValueError, match="cap"):
+            initial_state_for(plan, kind)
 
 
 # --- initial states ---
