@@ -20,6 +20,7 @@ from .classical import (
     classical_sequence_total,
     monte_carlo_sequence_payoff,
     paradox_threshold,
+    sequence_threshold,
     stationary_distribution,
     stationary_payoff,
 )
@@ -34,10 +35,10 @@ from .coins import (
     lose_prob_to_theta,
     su2_matrix,
 )
-from .optimize import OptimizationResult, objective_span, optimize_phases
+from .optimize import OptimizationResult, optimize_phases
 from .payoff import (
+    Evaluator,
     PayoffExpansion,
-    outcome_payoff,
     payoff_epsilon_expansion,
     payoff_expectation,
     per_qubit,
@@ -59,6 +60,7 @@ __all__ = [
     "ClassicalGameSpec",
     "CoinParams",
     "EpsilonBias",
+    "Evaluator",
     "GameBSpec",
     "GameStep",
     "HistoryChain",
@@ -89,15 +91,14 @@ __all__ = [
     "make_basis_state",
     "make_ghz",
     "monte_carlo_sequence_payoff",
-    "objective_span",
     "optimize_phases",
-    "outcome_payoff",
     "paradox_threshold",
     "payoff_epsilon_expansion",
     "payoff_expectation",
     "per_qubit",
     "run",
     "sequence_payoff",
+    "sequence_threshold",
     "stationary_distribution",
     "stationary_payoff",
     "su2_matrix",

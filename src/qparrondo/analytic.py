@@ -28,7 +28,14 @@ from __future__ import annotations
 
 import math
 
-from .coins import GAME_A_LOSE, GAME_B_LOSE, PhaseAssignment, _coerce_eps, lose_prob_to_theta
+from .coins import (
+    GAME_A_LOSE,
+    GAME_B_LOSE,
+    PhaseAssignment,
+    _coerce_eps,
+    bias_expansion,
+    lose_prob_to_theta,
+)
 
 PI = math.pi
 
@@ -120,18 +127,11 @@ def aab_extremal_phases(direction: str, delta: float = 0.0) -> PhaseAssignment:
     return PhaseAssignment(gamma=0.0, delta=delta, alphas=(0.0,) * 4, betas=betas)
 
 
-def aab_ghz_extremum_expansion(direction: str, delta: float = 0.0, h: float = 1e-4) -> tuple[float, float]:
+def aab_ghz_extremum_expansion(direction: str, delta: float = 0.0) -> tuple[float, float]:
     """(c0, c1) of the total extremal GHZ payoff around eps = 0.
 
     The extremal phase assignment is bias-independent, so the slope is the
     central difference of the closed form at fixed extremal phases.
     """
     phases = aab_extremal_phases(direction, delta)
-
-    def value(eps: float) -> float:
-        theta, phis = aab_angles_from_bias(eps)
-        return aab_payoff_ghz(theta, phis, phases)
-
-    c0 = value(0.0)
-    c1 = (value(h) - value(-h)) / (2.0 * h)
-    return c0, c1
+    return bias_expansion(lambda eps: aab_payoff_ghz(*aab_angles_from_bias(eps), phases))

@@ -23,9 +23,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .coins import GAME_A_LOSE, GAME_B_LOSE, EpsilonBias, _coerce_eps
+from .coins import GAME_A_LOSE, GAME_B_LOSE, EpsilonBias, _coerce_eps, bias_expansion
 from .tolerances import STRUCTURAL_TOL
-from .wiring import CircuitPlan, compile_sequence, validate_sequence
+from .wiring import CircuitPlan, compile_sequence
 
 HISTORY_STATES = ("LL", "LW", "WL", "WW")
 
@@ -210,7 +210,6 @@ def classical_sequence_payoff(
 def classical_sequence_expansion(
     seq: str,
     seeds="uniform",
-    h: float = 1e-4,
     divisor: int | None = None,
 ) -> tuple[float, float]:
     """(c0, c1) of the classical payoff around eps = 0.
@@ -224,9 +223,7 @@ def classical_sequence_expansion(
         total, plan = classical_sequence_total(seq, eps, seeds)
         return total / (divisor if divisor is not None else plan.total_qubits)
 
-    c0 = value(0.0)
-    c1 = (value(h) - value(-h)) / (2.0 * h)
-    return c0, c1
+    return bias_expansion(value)
 
 
 def monte_carlo_sequence_payoff(
@@ -264,55 +261,57 @@ def monte_carlo_sequence_payoff(
     return float(samples.mean()), float(samples.std(ddof=1) / np.sqrt(trials))
 
 
+def _threshold(f, lo: float, hi: float, solve) -> float | None:
+    """``lo`` if f(lo) is 0 within 1e-13, None unless f(lo) > 0 >= f(hi), else solve()."""
+    f_lo = f(lo)
+    if abs(f_lo) < 1e-13:
+        return lo
+    if f_lo < 0.0 or f(hi) > 0.0:
+        return None
+    return solve()
+
+
 def paradox_threshold(
-    target,
+    policy: str,
     q: float = 0.5,
     lo: float = 0.0,
     hi: float = 0.05,
     tol: float = 1e-10,
 ) -> float | None:
-    """Bias in [lo, hi] where the payoff crosses zero.
+    """Bias in [lo, hi] where the stationary per-game payoff of a policy
+    'A', 'B' or 'mix' (weight ``q`` on A) crosses zero, by bisection to ``tol``.
 
-    ``target`` is either a policy name 'A' / 'B' / 'mix' (stationary
-    per-game payoff) or a multi-token sequence string (per-qubit payoff,
-    uniform seeds).  Returns None when the payoff has no sign change on the
-    interval, and ``lo`` when the payoff there is zero within 1e-13.
-
-    Policy thresholds are zeros of the exact stationary payoff, found by
-    bisection to ``tol``.  Sequence thresholds are zeros of the first-order
-    payoff c0 + c1*eps, returned in closed form as -c0/c1: finite sequences
-    are reported to first order in the bias throughout this package, and the
-    published sequence thresholds are the zeros of that first-order form (the
-    exact enumerated payoff of a finite sequence has higher-order bias terms
-    that shift its root by a few 1e-5).
+    Returns None when the payoff has no sign change on the interval, and
+    ``lo`` when the payoff there is zero within 1e-13.
     """
-    policy = target in ("A", "B", "mix")
-    if policy:
-        def f(eps: float) -> float:
-            return stationary_payoff(target, eps, q)
-    else:
-        validate_sequence(target)
-        c0, c1 = classical_sequence_expansion(target)
 
-        def f(eps: float) -> float:
-            return c0 + c1 * eps
+    def f(eps: float) -> float:
+        return stationary_payoff(policy, eps, q)
 
-    f_lo = f(lo)
-    if abs(f_lo) < 1e-13:
-        return lo
-    if f_lo < 0.0:
-        return None
-    f_hi = f(hi)
-    if f_hi > 0.0:
-        return None
-    if not policy:
-        # f(lo) > 0 >= f(hi) with hi > lo, so the slope c1 is negative.
-        return -c0 / c1
-    a, b = lo, hi
-    while b - a > tol:
-        mid = 0.5 * (a + b)
-        if f(mid) > 0.0:
-            a = mid
-        else:
-            b = mid
-    return 0.5 * (a + b)
+    def bisect() -> float:
+        a, b = lo, hi
+        while b - a > tol:
+            mid = 0.5 * (a + b)
+            if f(mid) > 0.0:
+                a = mid
+            else:
+                b = mid
+        return 0.5 * (a + b)
+
+    return _threshold(f, lo, hi, bisect)
+
+
+def sequence_threshold(seq: str, lo: float = 0.0, hi: float = 0.05) -> float | None:
+    """Bias in [lo, hi] where the per-qubit payoff of any sequence, one token
+    included, crosses zero (uniform seeds; None and ``lo`` as in ``paradox_threshold``).
+
+    The threshold is the zero of the first-order payoff c0 + c1*eps, returned
+    in closed form as -c0/c1: finite sequences are reported to first order in
+    the bias throughout this package, and the published sequence thresholds
+    are the zeros of that first-order form (the exact enumerated payoff of a
+    finite sequence has higher-order bias terms that shift its root by a few
+    1e-5).
+    """
+    c0, c1 = classical_sequence_expansion(seq)
+    # f(lo) > 0 >= f(hi) with hi > lo, so the slope c1 is negative.
+    return _threshold(lambda eps: c0 + c1 * eps, lo, hi, lambda: -c0 / c1)

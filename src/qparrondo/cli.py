@@ -31,13 +31,13 @@ from .classical import (
     classical_sequence_expansion,
     classical_sequence_total,
     paradox_threshold,
+    sequence_threshold,
     stationary_payoff,
 )
-from .coins import PhaseAssignment, games_from_bias
+from .coins import PhaseAssignment, bias_expansion
 from .optimize import optimize_phases
-from .payoff import _evaluator, payoff_epsilon_expansion, per_qubit
+from .payoff import Evaluator, per_qubit
 from .table import TABLE_COLUMNS, build_table
-from .wiring import compile_sequence, initial_state_for
 
 
 def _sig9(value):
@@ -92,9 +92,9 @@ def _load_phases(path: str | None) -> PhaseAssignment | None:
         raise ValueError(f"phases file: malformed document ({exc})") from exc
 
 
-def _load_init(init: str, plan):
-    """Pass "zero" and "ghz" through by name; load anything else as a state file."""
-    if init in ("zero", "ghz"):
+def _load_init(init: str):
+    """Pass a named initial state through; read anything else as a state file."""
+    if init in Evaluator.NAMED_STATES:
         return init
     try:
         doc = json.loads(Path(init).read_text())
@@ -104,7 +104,7 @@ def _load_init(init: str, plan):
         amps = np.array([complex(re, im) for re, im in doc])
     except (TypeError, ValueError) as exc:
         raise ValueError(f"init file: expected an array of [re, im] pairs ({exc})") from exc
-    return initial_state_for(plan, amps)
+    return amps
 
 
 def _validated(body):
@@ -138,22 +138,28 @@ def cmd_payoff(sequence, init, eps, phases_path, normalized, fmt, out):
     """Simulate one sequence and report its payoff and bias expansion."""
 
     def body():
-        plan = compile_sequence(sequence)
         phases = _load_phases(phases_path)
-        state = _load_init(init, plan)
-        total = _evaluator(plan, state)(*games_from_bias(eps, phases))
-        expansion = payoff_epsilon_expansion(sequence, state, phases, normalize=normalized)
+        evaluator = Evaluator(sequence, _load_init(init))
+        qubits = evaluator.plan.total_qubits
+        total = evaluator.payoff(eps, phases, normalize=False)
+
+        def value(e: float) -> float:
+            # Each distinct bias is evaluated once: at --eps 0, c0 reuses total.
+            t = total if e == eps else evaluator.payoff(e, phases, normalize=False)
+            return per_qubit(t, qubits) if normalized else t
+
+        c0, c1 = bias_expansion(value)
         _emit(
             {
                 "sequence": sequence,
-                "qubits": plan.total_qubits,
+                "qubits": qubits,
                 "init": init,
                 "eps": eps,
                 "per_qubit": normalized,
                 "payoff_total": total,
-                "payoff_per_qubit": per_qubit(total, plan.total_qubits),
-                "c0": expansion.c0,
-                "c1": expansion.c1,
+                "payoff_per_qubit": per_qubit(total, qubits),
+                "c0": c0,
+                "c1": c1,
             },
             fmt,
             out,
@@ -187,9 +193,7 @@ def cmd_optimize(sequence, init, eps, direction, max_sweeps, fmt, out):
     """Search phase angles for the extremal per-qubit payoff."""
 
     def body():
-        plan = compile_sequence(sequence)
-        state = _load_init(init, plan)
-        result = optimize_phases(sequence, state, eps, direction, max_sweeps=max_sweeps)
+        result = optimize_phases(sequence, _load_init(init), eps, direction, max_sweeps=max_sweeps)
         phases = result.best_phases
         _emit(
             {
@@ -269,10 +273,12 @@ def cmd_classical(mode, sequence, policy, mix_q, eps, seeds, fmt, out):
                 out,
             )
         else:
-            target = sequence if sequence is not None else policy
-            if target is None:
+            if sequence is not None:
+                target, threshold = sequence, sequence_threshold(sequence)
+            elif policy is not None:
+                target, threshold = policy, paradox_threshold(policy, q=mix_q)
+            else:
                 raise ValueError("mode 'threshold' needs --sequence or --policy")
-            threshold = paradox_threshold(target, q=mix_q)
             report = {
                 "mode": mode,
                 "target": target,

@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
@@ -39,6 +40,17 @@ HISTORY_ORDER = ("lost,lost", "lost,won", "won,lost", "won,won")
 # Derived probabilities stay strictly inside (0,1) only for |eps| below this
 # (the tightest branch has lose probability 0.1 + eps).
 MAX_EPS = 0.1
+
+BIAS_STEP = 1e-4
+
+
+def bias_expansion(value: Callable[[float], float]) -> tuple[float, float]:
+    """(c0, c1) with value(eps) ~ c0 + c1 * eps: value(0.0) and the central
+    difference over +/- BIAS_STEP.  Payoffs are smooth in eps (through
+    arccos(sqrt(p + eps))), so the truncation error is negligible."""
+    c0 = value(0.0)
+    c1 = (value(BIAS_STEP) - value(-BIAS_STEP)) / (2.0 * BIAS_STEP)
+    return c0, c1
 
 
 @dataclass(frozen=True)

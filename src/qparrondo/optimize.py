@@ -16,9 +16,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .coins import PhaseAssignment, games_from_bias
-from .payoff import _evaluator, per_qubit
-from .wiring import compile_sequence
+from .coins import PhaseAssignment
+from .payoff import Evaluator
 
 COORD_NAMES = (
     "gamma",
@@ -32,6 +31,10 @@ COORD_NAMES = (
     "beta3",
     "beta4",
 )
+
+# Grid angles scanned per coordinate; a sweep gaining less than the tolerance ends the search.
+GRID_POINTS = 64
+CONVERGENCE_TOL = 1e-9
 
 
 @dataclass
@@ -59,26 +62,24 @@ def optimize_phases(
     eps: float = 0.0,
     direction: str = "max",
     max_sweeps: int = 40,
-    grid_points: int = 64,
-    tol: float = 1e-9,
 ) -> OptimizationResult:
     """Maximize or minimize the per-qubit payoff over all ten phase angles."""
     if direction not in ("max", "min"):
         raise ValueError(f"direction must be 'max' or 'min', got {direction!r}")
+    if max_sweeps < 1:
+        raise ValueError(f"max_sweeps must be at least 1, got {max_sweeps!r}")
     sign = 1.0 if direction == "max" else -1.0
-    plan = compile_sequence(seq)
-    evaluate = _evaluator(plan, init)
+    evaluator = Evaluator(seq, init)
 
     evaluations = 0
 
     def objective(x: np.ndarray) -> float:
         nonlocal evaluations
         evaluations += 1
-        total = evaluate(*games_from_bias(eps, _assignment_from_vector(x)))
-        return per_qubit(total, plan.total_qubits)
+        return evaluator.payoff(eps, _assignment_from_vector(x))
 
     x = np.zeros(len(COORD_NAMES))
-    grid = np.linspace(0.0, 2.0 * np.pi, grid_points, endpoint=False)
+    grid = np.linspace(0.0, 2.0 * np.pi, GRID_POINTS, endpoint=False)
     step = grid[1] - grid[0]
 
     best = objective(x)
@@ -90,7 +91,7 @@ def optimize_phases(
             x_before = x[i]
 
             # Grid scan; strict improvement breaks ties toward smaller angles.
-            values = np.empty(grid_points)
+            values = np.empty(GRID_POINTS)
             for k, g in enumerate(grid):
                 x[i] = g
                 values[k] = objective(x)
@@ -102,9 +103,9 @@ def optimize_phases(
                 x[i] = x_before
 
             # Quadratic refinement through the best grid point and neighbors.
-            f_m = values[(k_best - 1) % grid_points]
+            f_m = values[(k_best - 1) % GRID_POINTS]
             f_0 = values[k_best]
-            f_p = values[(k_best + 1) % grid_points]
+            f_p = values[(k_best + 1) % GRID_POINTS]
             denom = f_m - 2.0 * f_0 + f_p
             if abs(denom) > 1e-15:
                 offset = 0.5 * step * (f_m - f_p) / denom
@@ -116,7 +117,7 @@ def optimize_phases(
                     else:
                         x[i] = x_current
         trace.append(best)
-        if sign * (best - sweep_start) < tol:
+        if sign * (best - sweep_start) < CONVERGENCE_TOL:
             converged = True
             break
 
@@ -135,15 +136,3 @@ def optimize_phases(
         evaluations=evaluations,
         trace=trace,
     )
-
-
-def objective_span(
-    seq: str,
-    init="ghz",
-    eps: float = 0.0,
-    **kwargs,
-) -> tuple[OptimizationResult, OptimizationResult, float]:
-    """Run both directions; returns (max_result, min_result, span)."""
-    hi = optimize_phases(seq, init, eps, "max", **kwargs)
-    lo = optimize_phases(seq, init, eps, "min", **kwargs)
-    return hi, lo, hi.best_value - lo.best_value

@@ -20,6 +20,7 @@ from qparrondo.classical import (
     classical_sequence_payoff,
     classical_sequence_total,
     paradox_threshold,
+    sequence_threshold,
     stationary_payoff,
 )
 from qparrondo.coins import (
@@ -180,7 +181,7 @@ def test_criterion_4_single_branch_interference():
 
 def test_criterion_5_thresholds():
     failures = []
-    t_seq = paradox_threshold("AAB")
+    t_seq = sequence_threshold("AAB")
     _check(failures, t_seq is not None and abs(t_seq - 1 / 112) < 1e-6, f"AAB threshold {t_seq}")
     t_mix = paradox_threshold("mix")
     _check(failures, t_mix is not None and abs(t_mix - 1 / 168) < 1e-6, f"mix threshold {t_mix}")

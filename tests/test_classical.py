@@ -12,6 +12,7 @@ from qparrondo.classical import (
     classical_sequence_total,
     monte_carlo_sequence_payoff,
     paradox_threshold,
+    sequence_threshold,
     stationary_distribution,
     stationary_payoff,
 )
@@ -167,17 +168,24 @@ def test_policy_validation():
 # --- thresholds ---
 
 def test_aab_sequence_threshold():
-    assert abs(paradox_threshold("AAB") - 1 / 112) < 1e-6
+    assert abs(sequence_threshold("AAB") - 1 / 112) < 1e-6
 
 
-@pytest.mark.parametrize("seq", ["AAB", "AB", "BB", "AABAAB"])
+@pytest.mark.parametrize("seq", ["AAB", "AB", "BB", "AABAAB", "B"])
 def test_sequence_threshold_is_the_first_order_root(seq):
     c0, c1 = classical_sequence_expansion(seq)
-    assert paradox_threshold(seq) == -c0 / c1
+    assert sequence_threshold(seq) == -c0 / c1
+
+
+def test_one_token_sequence_is_not_a_policy():
+    # the sequence B has c0 = 1/60 and c1 = -2/3 per qubit (the policy B is fair at 0)
+    assert abs(sequence_threshold("B") - 0.025) < 1e-12
+    with pytest.raises(ValueError, match="policy"):
+        paradox_threshold("AAB")
 
 
 def test_aab_sequence_threshold_has_no_bisection_error():
-    assert abs(paradox_threshold("AAB") - 1 / 112) < 1e-14
+    assert abs(sequence_threshold("AAB") - 1 / 112) < 1e-14
 
 
 def test_even_mixture_threshold():
@@ -194,12 +202,12 @@ def test_pure_b_threshold_is_zero():
 
 def test_no_sign_change_reports_no_root():
     # BB stays winning over a too-small interval
-    assert paradox_threshold("BB", hi=0.005) is None
+    assert sequence_threshold("BB", hi=0.005) is None
 
 
 def test_threshold_rejects_bad_sequence():
     with pytest.raises(ValueError):
-        paradox_threshold("AXB")
+        sequence_threshold("AXB")
 
 
 # --- Monte Carlo sanity harness ---

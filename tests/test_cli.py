@@ -70,6 +70,21 @@ def test_payoff_with_custom_state_file(runner, tmp_path):
     assert out["payoff_per_qubit"] == pytest.approx(1 / 15, abs=1e-7)
 
 
+@pytest.mark.parametrize("eps, dense_runs", [("0", 3), ("0.01", 4)])
+def test_payoff_evaluates_each_distinct_bias_once(runner, tmp_path, monkeypatch, eps, dense_runs):
+    # c0 is the payoff at eps = 0, so the default --eps 0 needs one run fewer
+    runs = []
+    real = qparrondo.payoff.run
+    monkeypatch.setattr(qparrondo.payoff, "run", lambda *args: runs.append(1) or real(*args))
+    amps = np.zeros(8)
+    amps[0] = amps[7] = 1 / math.sqrt(2)
+    path = tmp_path / "ghz3.json"
+    path.write_text(json.dumps([[a, 0.0] for a in amps]))
+    out = parse_json(invoke(runner, "payoff", "--sequence", "B", "--init", str(path), "--eps", eps))
+    assert len(runs) == dense_runs
+    assert out["payoff_per_qubit"] == pytest.approx(1 / 15, abs=1e-7)
+
+
 def test_payoff_rejects_unnormalized_custom_state(runner, tmp_path):
     path = tmp_path / "bad.json"
     path.write_text(json.dumps([[1.0, 0.0]] * 8))
@@ -256,6 +271,13 @@ def test_optimize_aab_minimum(runner):
     assert out["best_value"] == pytest.approx(-0.2707138, abs=1e-5)
 
 
+@pytest.mark.parametrize("budget", ["0", "-3"])
+def test_optimize_rejects_a_non_positive_sweep_budget(runner, budget):
+    result = runner.invoke(main, ["optimize", "--sequence", "AAB", "--max-sweeps", budget])
+    assert result.exit_code == 3
+    assert "max_sweeps" in error_text(result)
+
+
 def test_optimize_reports_flat_objective(runner):
     out = parse_json(
         invoke(runner, "optimize", "--sequence", "B", "--direction", "max", "--max-sweeps", "2")
@@ -286,6 +308,18 @@ def test_classical_threshold_modes(runner):
     assert out["threshold"] == pytest.approx(1 / 112, abs=1e-6)
     out = parse_json(invoke(runner, "classical", "--mode", "threshold", "--policy", "mix"))
     assert out["threshold"] == pytest.approx(1 / 168, abs=1e-6)
+
+
+def test_classical_threshold_of_a_one_token_sequence(runner):
+    # the sequence B (c0 = 1/60, c1 = -2/3 per qubit), not the stationary policy B
+    out = parse_json(invoke(runner, "classical", "--mode", "threshold", "--sequence", "B"))
+    assert out["target"] == "B"
+    assert out["threshold"] == pytest.approx(0.025, abs=1e-9)
+
+
+def test_classical_threshold_sequence_mix_is_not_a_policy(runner):
+    result = runner.invoke(main, ["classical", "--mode", "threshold", "--sequence", "mix"])
+    assert result.exit_code == 3
 
 
 def test_classical_threshold_boundary_root(runner):

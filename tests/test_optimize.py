@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from qparrondo.optimize import objective_span, optimize_phases
+from qparrondo.optimize import optimize_phases
 from qparrondo.payoff import sequence_payoff
 
 # Exact per-qubit extreme: (1/4)(3/5 + sqrt(3) + 2 sqrt(0.21)) / 3
@@ -46,8 +46,9 @@ def test_minimization_trace_is_monotone_downward():
 
 @pytest.mark.parametrize("seq", ["B", "BB", "AB", "ABAB"])
 def test_no_interference_sequences_are_phase_flat(seq):
-    hi, lo, span = objective_span(seq, init="ghz", max_sweeps=2)
-    assert span < 1e-9
+    hi = optimize_phases(seq, init="ghz", direction="max", max_sweeps=2)
+    lo = optimize_phases(seq, init="ghz", direction="min", max_sweeps=2)
+    assert hi.best_value - lo.best_value < 1e-9
     assert hi.evaluations > 0
 
 
@@ -71,6 +72,12 @@ def test_extremal_slopes_via_central_difference():
 def test_direction_validated():
     with pytest.raises(ValueError):
         optimize_phases("AAB", direction="upward")
+
+
+@pytest.mark.parametrize("max_sweeps", [0, -3])
+def test_sweep_budget_must_be_positive(max_sweeps):
+    with pytest.raises(ValueError, match="max_sweeps"):
+        optimize_phases("AAB", max_sweeps=max_sweeps)
 
 
 def test_budget_exhaustion_reports_unconverged():

@@ -4,17 +4,17 @@ from itertools import combinations
 import numpy as np
 import pytest
 
+from qparrondo import payoff
 from qparrondo.classical import classical_sequence_payoff
-from qparrondo.coins import PhaseAssignment, games_from_bias
+from qparrondo.coins import PhaseAssignment
 from qparrondo.payoff import (
-    outcome_payoff,
+    Evaluator,
     payoff_epsilon_expansion,
     payoff_expectation,
     per_qubit,
     sequence_payoff,
 )
-from qparrondo.statevector import StateVector, make_basis_state
-from qparrondo.wiring import compile_sequence, initial_state_for, run
+from qparrondo.statevector import StateVector, make_basis_state, make_ghz
 
 ATOL = 1e-12
 E2E = 1e-9
@@ -40,14 +40,6 @@ def popcount_payoff(state: StateVector) -> float:
     idx = np.arange(1 << n, dtype=np.int64)
     counts = sum((idx >> b) & 1 for b in range(n))
     return float(np.sum((2 * counts - n) * np.abs(state.amplitudes) ** 2))
-
-
-def target_bit_payoff(state: StateVector, plan) -> float:
-    """Oracle for outcome_payoff: +1/-1 per game-target bit, read off the index."""
-    n = state.num_qubits
-    probs = np.abs(state.amplitudes) ** 2
-    idx = np.arange(1 << n, dtype=np.int64)
-    return sum(float(np.sum((2 * ((idx >> (n - s.target)) & 1) - 1) * probs)) for s in plan.steps)
 
 
 def random_state(n, rng):
@@ -90,11 +82,9 @@ def test_popcount_formulation_matches_literal_sum():
 @pytest.mark.parametrize("n", range(1, 13))
 def test_marginal_payoff_matches_popcount_formula(n):
     rng = np.random.default_rng(500 + n)
-    plan = compile_sequence("B" * (n - 2) if n >= 3 else "A" * n)
     for _ in range(3):
         s = random_state(n, rng)
         assert abs(payoff_expectation(s) - popcount_payoff(s)) < ATOL
-        assert abs(outcome_payoff(s, plan) - target_bit_payoff(s, plan)) < ATOL
 
 
 def test_global_phase_invariance():
@@ -123,18 +113,6 @@ def test_per_qubit_values():
         per_qubit(1.0, 0)
 
 
-# --- outcome-only diagnostic ---
-
-def test_outcome_payoff_excludes_seed_qubits():
-    plan = compile_sequence("B")
-    a, b = games_from_bias(0.0)
-    out = run(plan, a, b, initial_state_for(plan, "zero"))
-    games_only = outcome_payoff(out, plan)
-    assert abs(games_only - 0.8) < E2E
-    # total = seed payoffs (two losses) + the game qubit
-    assert abs(payoff_expectation(out) - (games_only - 2.0)) < E2E
-
-
 # --- epsilon expansion ---
 
 def test_ab_on_ghz_expansion():
@@ -158,11 +136,18 @@ def test_aab_on_ghz_zero_phase_constant():
     assert abs(e.c0 - expected) < E2E
 
 
-def test_expansion_rejects_bad_step():
-    with pytest.raises(ValueError):
-        payoff_epsilon_expansion("AB", h=0.2)
-    with pytest.raises(ValueError):
-        payoff_epsilon_expansion("AB", h=0.0)
+# --- one compiled evaluator ---
+
+def test_evaluator_validates_a_custom_state_once(monkeypatch):
+    built = []
+    real = payoff.initial_state_for
+    monkeypatch.setattr(payoff, "initial_state_for", lambda *args: built.append(1) or real(*args))
+    evaluator = Evaluator("B", init=make_ghz(3).amplitudes)
+    assert evaluator.plan.total_qubits == 3
+    e = evaluator.expansion()
+    assert abs(e.c0 - 1 / 15) < E2E and abs(e.c1) < 1e-6
+    assert abs(evaluator.payoff(0.0, normalize=False) - 0.2) < E2E
+    assert len(built) == 1
 
 
 # --- quantum vs classical on basis inputs ---

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from qparrondo import payoff, transfer
 from qparrondo.classical import classical_sequence_payoff
-from qparrondo.coins import PhaseAssignment, games_from_bias
+from qparrondo.coins import CoinParams, GameBSpec, PhaseAssignment, games_from_bias
 from qparrondo.optimize import optimize_phases
 from qparrondo.payoff import payoff_epsilon_expansion, payoff_expectation, sequence_payoff
 from qparrondo.statevector import make_ghz
@@ -27,6 +27,15 @@ phase_assignments = st.builds(
     delta=angles,
     alphas=st.tuples(angles, angles, angles, angles),
     betas=st.tuples(angles, angles, angles, angles),
+)
+# Arbitrary coins, every angle drawn independently: unlike bias-derived coins,
+# the (lost,won) and (won,lost) branches of B differ, so a backend that reads
+# the two history bits in the wrong order is caught.
+coins = st.builds(
+    CoinParams,
+    theta=st.floats(-math.pi, math.pi),
+    gamma=st.floats(0.0, 2 * math.pi),
+    delta=st.floats(0.0, 2 * math.pi),
 )
 small_sequences = st.text("AB", min_size=1, max_size=10).filter(
     lambda seq: compile_sequence(seq).total_qubits <= 10
@@ -49,6 +58,19 @@ def dense_total(plan, a, b, kind):
 def test_transfer_matches_dense_engine(seq, phases, eps, kind):
     plan = compile_sequence(seq)
     a, b = games_from_bias(eps, phases)
+    assert abs(transfer_total(plan, a, b, kind) - dense_total(plan, a, b, kind)) <= ATOL
+
+
+@PROPERTY
+@given(
+    seq=small_sequences,
+    a=coins,
+    branches=st.tuples(coins, coins, coins, coins),
+    kind=st.sampled_from(["zero", "ghz"]),
+)
+def test_transfer_matches_dense_engine_on_arbitrary_coins(seq, a, branches, kind):
+    plan = compile_sequence(seq)
+    b = GameBSpec(branches)
     assert abs(transfer_total(plan, a, b, kind) - dense_total(plan, a, b, kind)) <= ATOL
 
 
@@ -93,7 +115,7 @@ def test_repeated_aab_row_keeps_its_expansion_past_the_cap(repetitions):
 
 
 def test_optimizer_runs_past_the_cap():
-    result = optimize_phases("B" * 30, max_sweeps=1, grid_points=8)
+    result = optimize_phases("B" * 30, max_sweeps=1)
     assert math.isfinite(result.best_value)
     assert result.best_value == sequence_payoff("B" * 30, init="ghz", phases=result.best_phases)
 
