@@ -47,8 +47,6 @@ from .payoff import (
 from .statevector import (
     MAX_QUBITS,
     StateVector,
-    apply_single_qubit,
-    apply_two_controlled_multiplexed,
     make_basis_state,
     make_ghz,
 )
@@ -75,8 +73,6 @@ __all__ = [
     "aab_ghz_phase_extreme",
     "aab_payoff_ghz",
     "aab_payoff_zero_state",
-    "apply_single_qubit",
-    "apply_two_controlled_multiplexed",
     "build_history_chain",
     "build_table",
     "classical_sequence_expansion",

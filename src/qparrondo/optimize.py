@@ -9,6 +9,13 @@ closes the remaining gap from grid resolution (about 2e-3) to ~1e-6.
 The search is deterministic: it starts from the all-zero assignment, scans
 each coordinate over the same grid in order, and breaks ties toward the
 smaller angle by accepting strict improvements only.
+
+Only five of the ten phases are searched: game A's delta and the four B
+betas.  Every coin is Rz(gamma) R(theta) Rz(delta) (see ``coins.su2_matrix``),
+so game A's gamma and each B branch's alpha are a diagonal phase applied
+after the coin on its own target.  Every later gate reads that qubit only as
+a control, and the payoff is measured in the computational basis, so those
+five phases change no payoff on any initial state.  They are reported as 0.
 """
 from __future__ import annotations
 
@@ -19,18 +26,7 @@ import numpy as np
 from .coins import PhaseAssignment
 from .payoff import Evaluator
 
-COORD_NAMES = (
-    "gamma",
-    "delta",
-    "alpha1",
-    "alpha2",
-    "alpha3",
-    "alpha4",
-    "beta1",
-    "beta2",
-    "beta3",
-    "beta4",
-)
+COORD_NAMES = ("delta", "beta1", "beta2", "beta3", "beta4")
 
 # Grid angles scanned per coordinate; a sweep gaining less than the tolerance ends the search.
 GRID_POINTS = 64
@@ -48,12 +44,7 @@ class OptimizationResult:
 
 
 def _assignment_from_vector(x: np.ndarray) -> PhaseAssignment:
-    return PhaseAssignment(
-        gamma=float(x[0]),
-        delta=float(x[1]),
-        alphas=tuple(float(v) for v in x[2:6]),
-        betas=tuple(float(v) for v in x[6:10]),
-    )
+    return PhaseAssignment(delta=float(x[0]), betas=tuple(float(v) for v in x[1:5]))
 
 
 def optimize_phases(
@@ -63,7 +54,8 @@ def optimize_phases(
     direction: str = "max",
     max_sweeps: int = 40,
 ) -> OptimizationResult:
-    """Maximize or minimize the per-qubit payoff over all ten phase angles."""
+    """Maximize or minimize the per-qubit payoff over the five phases that
+    can change it; gamma and the alphas are reported as 0."""
     if direction not in ("max", "min"):
         raise ValueError(f"direction must be 'max' or 'min', got {direction!r}")
     if max_sweeps < 1:

@@ -25,8 +25,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .coins import PhaseAssignment, bias_expansion, games_from_bias
-from .statevector import StateVector
-from .transfer import TRANSFER_KINDS, transfer_total
+from .statevector import NAMED_STATES, StateVector
+from .transfer import transfer_total
 from .wiring import compile_sequence, initial_state_for, run
 
 
@@ -73,7 +73,7 @@ class Evaluator:
     once, here, and takes the dense ``run``.
     """
 
-    NAMED_STATES = TRANSFER_KINDS
+    NAMED_STATES = NAMED_STATES
 
     def __init__(self, seq: str, init="ghz"):
         self.plan = plan = compile_sequence(seq)

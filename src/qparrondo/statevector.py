@@ -6,14 +6,18 @@ qubits the label "110" is basis index 6.  This makes a state written
 |q1 q2 q3> read left to right in both math and code.
 
 States are immutable at the API: a StateVector owns a read-only copy of its
-amplitudes, validated (shape, finiteness, unit norm) when it is built, and
-the public gate functions return a new StateVector.  Underneath, every gate
-is an in-place kernel on a private, writable buffer: the buffer is reshaped
-so that the target and control qubits get their own length-2 axes, and each
-2x2 update runs on basic-index views of it.  ``wiring.run`` copies the
-initial state into one such buffer, validates the coin matrices once, runs
-every game on it and wraps the result once; the in-place kernels check only
-qubit indices and trust their caller for the rest.
+amplitudes, validated (shape, finiteness, unit norm) when it is built.  Every
+game is one gate, :func:`apply_gate`: a 2x2 unitary on a fresh target qubit,
+chosen by 0 (game A) or 2 (game B) control qubits.  It runs in place on a
+private, writable buffer, reshaped so that the target and control qubits get
+their own length-2 axes, and each 2x2 update runs on basic-index views of it.
+``wiring.run`` copies the initial state into one such buffer, validates the
+coin matrices once, runs every game on it and wraps the result once; the
+kernel checks only qubit indices and the matrix count and trusts its caller
+for the rest.
+
+The named initial states live in one table, NAMED_STATES, which the dense
+states here, the transfer walk and the evaluator all read.
 
 Capacity is capped at MAX_QUBITS = 24 (about 256 MiB of amplitudes).  The cap
 binds the dense path only: sequences of any length compile, and on the
@@ -22,6 +26,7 @@ all-zero and GHZ states their payoff comes from the linear-time walk in
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -29,6 +34,10 @@ import numpy as np
 from .tolerances import STRUCTURAL_TOL
 
 MAX_QUBITS = 24
+
+# Named initial states, as the weights of |0...0> and then |1...1> (a weight
+# left out is 0).
+NAMED_STATES = {"zero": (1.0,), "ghz": (math.sqrt(0.5), math.sqrt(0.5))}
 
 
 @dataclass(frozen=True)
@@ -61,10 +70,6 @@ class StateVector:
         amps.setflags(write=False)
         object.__setattr__(self, "amplitudes", amps)
         object.__setattr__(self, "num_qubits", int(n))
-
-    @property
-    def dim(self) -> int:
-        return 1 << self.num_qubits
 
 
 def check_unitary2(u: np.ndarray) -> np.ndarray:
@@ -107,12 +112,22 @@ def make_basis_state(num_qubits: int, label: str) -> StateVector:
     return StateVector(num_qubits, amps)
 
 
+def make_named_state(num_qubits: int, name: str) -> StateVector:
+    """The state NAMED_STATES[name] on ``num_qubits`` qubits."""
+    if name not in NAMED_STATES:
+        raise ValueError(
+            f"unknown initial-state kind {name!r}; the named states are {tuple(NAMED_STATES)}"
+        )
+    _check_register_size(num_qubits)
+    weights = NAMED_STATES[name]
+    amps = np.zeros(1 << num_qubits, dtype=complex)
+    amps[[0, -1][: len(weights)]] = weights
+    return StateVector(num_qubits, amps)
+
+
 def make_ghz(num_qubits: int) -> StateVector:
     """Maximally entangled state (|00...0> + |11...1>) / sqrt(2)."""
-    _check_register_size(num_qubits)
-    amps = np.zeros(1 << num_qubits, dtype=complex)
-    amps[0] = amps[-1] = 1.0 / np.sqrt(2.0)
-    return StateVector(num_qubits, amps)
+    return make_named_state(num_qubits, "ghz")
 
 
 def _check_qubit_index(num_qubits: int, qubit: int, name: str) -> None:
@@ -188,63 +203,27 @@ def _qubit_pairs(
     return zero, view[(*index, ...)]
 
 
-def apply_single_qubit_inplace(buf: np.ndarray, target: int, m: np.ndarray) -> None:
-    """Apply a validated 2x2 unitary to one qubit of a writable amplitude buffer.
-
-    ``buf`` is a C-contiguous complex array of length 2**n; ``m`` must already
-    have passed :func:`check_unitary2`.
-    """
-    _check_qubit_index(buf.size.bit_length() - 1, target, "target")
-    _rotate(*_qubit_pairs(buf, target, {}), m)
-
-
-def apply_two_controlled_multiplexed_inplace(
-    buf: np.ndarray,
-    control_hi: int,
-    control_lo: int,
-    target: int,
-    mats: tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray],
+def apply_gate(
+    buf: np.ndarray, target: int, controls: tuple[int, ...], mats: tuple[np.ndarray, ...]
 ) -> None:
-    """In-place form of :func:`apply_two_controlled_multiplexed`.
+    """Apply ``mats[c]`` to the target wherever the control bits, most
+    significant first, spell ``c``; control bits are never altered.
 
-    ``buf`` is a C-contiguous complex array of length 2**n; every matrix in
-    ``mats`` must already have passed :func:`check_unitary2`.
+    Game A is the gate with no controls and one matrix; game B has two
+    controls (hi, lo), so (0,0) picks mats[0], (0,1) [1], (1,0) [2], (1,1) [3].
+    ``buf`` is a writable C-contiguous complex array of length 2**n, updated
+    in place; every matrix must already have passed :func:`check_unitary2`.
     """
     n = buf.size.bit_length() - 1
-    for name, q in (("control_hi", control_hi), ("control_lo", control_lo), ("target", target)):
-        _check_qubit_index(n, q, name)
-    if len({control_hi, control_lo, target}) != 3:
+    _check_qubit_index(n, target, "target")
+    for q in controls:
+        _check_qubit_index(n, q, "control")
+    if len({target, *controls}) != 1 + len(controls):
+        raise ValueError(f"control/target qubits must be distinct, got {(*controls, target)}")
+    if len(mats) != 1 << len(controls):
         raise ValueError(
-            f"control/target qubits must be distinct, got ({control_hi}, {control_lo}, {target})"
+            f"{len(controls)} controls need {1 << len(controls)} matrices, got {len(mats)}"
         )
-    for branch in range(4):
-        controls = {control_hi: branch >> 1, control_lo: branch & 1}
-        _rotate(*_qubit_pairs(buf, target, controls), mats[branch])
-
-
-def apply_single_qubit(state: StateVector, target: int, u: np.ndarray) -> StateVector:
-    """Apply a 2x2 unitary to one qubit; returns a new state."""
-    m = check_unitary2(u)
-    buf = np.array(state.amplitudes)
-    apply_single_qubit_inplace(buf, target, m)
-    return StateVector(state.num_qubits, buf)
-
-
-def apply_two_controlled_multiplexed(
-    state: StateVector,
-    control_hi: int,
-    control_lo: int,
-    target: int,
-    branch_units: tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray],
-) -> StateVector:
-    """Apply one of four 2x2 unitaries to the target, selected by the controls.
-
-    Branch selection: (control_hi, control_lo) bits (0,0) pick branch_units[0],
-    (0,1) -> [1], (1,0) -> [2], (1,1) -> [3].  Control bits are never altered.
-    """
-    if len(branch_units) != 4:
-        raise ValueError(f"expected 4 branch unitaries, got {len(branch_units)}")
-    mats = tuple(check_unitary2(u) for u in branch_units)
-    buf = np.array(state.amplitudes)
-    apply_two_controlled_multiplexed_inplace(buf, control_hi, control_lo, target, mats)
-    return StateVector(state.num_qubits, buf)
+    for c, m in enumerate(mats):
+        bits = {q: (c >> k) & 1 for k, q in enumerate(reversed(controls))}
+        _rotate(*_qubit_pairs(buf, target, bits), m)

@@ -1,9 +1,7 @@
 """Centralized numeric tolerances.
 
 STRUCTURAL_TOL guards exact structural facts (norms, unitarity, stochastic
-rows); END_TO_END_TOL is for end-to-end value comparisons that accumulate
-a few rounding steps.
+rows).
 """
 
 STRUCTURAL_TOL = 1e-12
-END_TO_END_TOL = 1e-9

@@ -7,7 +7,8 @@ outcome y is therefore a product of one factor per qubit,
 last two outcome bits.  A seed qubit's factor is <y_q|x_q>, game A's does not
 depend on the controls, and game B's picks its coin by them.  The GHZ state
 is the sum of the two branches x = 0...0 and x = 1...1, each weighted
-1/sqrt(2); the all-zero state is the first branch alone.
+1/sqrt(2); the all-zero state is the first branch alone.  The weights are
+those of ``statevector.NAMED_STATES``, the dense states' table.
 
 The payoff is a sum of one +/-1 term per qubit, so its expectation contracts
 that chain qubit by qubit.  For each ordered pair of input branches (b, b')
@@ -19,19 +20,12 @@ and the only path for custom amplitudes.
 """
 from __future__ import annotations
 
-import math
-
 import numpy as np
 
 from .coins import CoinParams, GameBSpec, su2_matrix
-from .statevector import check_unitary2
+from .statevector import NAMED_STATES, check_unitary2
 from .tolerances import STRUCTURAL_TOL
 from .wiring import CircuitPlan
-
-# Input-branch amplitudes per initial-state kind; branch b starts every qubit
-# in |b>.
-_BRANCHES = {"zero": (1.0,), "ghz": (math.sqrt(0.5), math.sqrt(0.5))}
-TRANSFER_KINDS = tuple(_BRANCHES)
 
 # Payoff of an outcome bit: -1 for a loss (0), +1 for a win (1).
 _PAYOFF = np.array([-1.0, 1.0])
@@ -52,11 +46,14 @@ def transfer_total(
     carried norm to be 1 within STRUCTURAL_TOL, the bound a StateVector
     enforces; raises ValueError otherwise.
     """
-    if kind not in _BRANCHES:
-        raise ValueError(f"no transfer-matrix walk for initial state {kind!r}; use {TRANSFER_KINDS}")
+    if kind not in NAMED_STATES:
+        raise ValueError(
+            f"no transfer-matrix walk for initial state {kind!r}; use {tuple(NAMED_STATES)}"
+        )
     a_mat = check_unitary2(su2_matrix(a_params))
     b_mats = np.array([check_unitary2(su2_matrix(p)) for p in b_spec.branches])
-    amps = np.array(_BRANCHES[kind])
+    # Input-branch amplitudes: branch b starts every qubit in |b>.
+    amps = np.array(NAMED_STATES[kind])
     n_branches = len(amps)
 
     def pair_table(f: np.ndarray) -> np.ndarray:

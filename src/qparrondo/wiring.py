@@ -26,14 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .coins import CoinParams, GameBSpec, su2_matrix
-from .statevector import (
-    StateVector,
-    apply_single_qubit_inplace,
-    apply_two_controlled_multiplexed_inplace,
-    check_unitary2,
-    make_basis_state,
-    make_ghz,
-)
+from .statevector import StateVector, apply_gate, check_unitary2, make_named_state
 
 
 @dataclass(frozen=True)
@@ -52,10 +45,6 @@ class CircuitPlan:
     seed_count: int
     total_qubits: int
     steps: tuple[GameStep, ...]
-
-    @property
-    def sequence(self) -> str:
-        return "".join(s.token for s in self.steps)
 
 
 def validate_sequence(seq: str) -> str:
@@ -88,13 +77,9 @@ def compile_sequence(seq: str) -> CircuitPlan:
 
 
 def initial_state_for(plan: CircuitPlan, kind="zero") -> StateVector:
-    """Initial state for a plan: "zero", "ghz", or custom amplitudes."""
+    """Initial state for a plan: a name in NAMED_STATES or custom amplitudes."""
     if isinstance(kind, str):
-        if kind == "zero":
-            return make_basis_state(plan.total_qubits, "0" * plan.total_qubits)
-        if kind == "ghz":
-            return make_ghz(plan.total_qubits)
-        raise ValueError(f"unknown initial-state kind {kind!r}; use 'zero', 'ghz' or amplitudes")
+        return make_named_state(plan.total_qubits, kind)
     if isinstance(kind, StateVector):
         if kind.num_qubits != plan.total_qubits:
             raise ValueError(
@@ -123,13 +108,11 @@ def run(
         raise ValueError(
             f"initial state has {init.num_qubits} qubits, plan needs {plan.total_qubits}"
         )
-    a_mat = check_unitary2(su2_matrix(a_params))
-    b_mats = tuple(check_unitary2(su2_matrix(p)) for p in b_spec.branches)
+    mats = {
+        "A": (check_unitary2(su2_matrix(a_params)),),
+        "B": tuple(check_unitary2(su2_matrix(p)) for p in b_spec.branches),
+    }
     buf = np.array(init.amplitudes)
     for step in plan.steps:
-        if step.token == "A":
-            apply_single_qubit_inplace(buf, step.target, a_mat)
-        else:
-            hi, lo = step.controls
-            apply_two_controlled_multiplexed_inplace(buf, hi, lo, step.target, b_mats)
+        apply_gate(buf, step.target, step.controls or (), mats[step.token])
     return StateVector(plan.total_qubits, buf)

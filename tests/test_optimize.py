@@ -3,8 +3,10 @@ import math
 import numpy as np
 import pytest
 
-from qparrondo.optimize import optimize_phases
-from qparrondo.payoff import sequence_payoff
+from qparrondo.coins import PhaseAssignment
+from qparrondo.optimize import COORD_NAMES, optimize_phases
+from qparrondo.payoff import Evaluator, sequence_payoff
+from qparrondo.wiring import compile_sequence
 
 # Exact per-qubit extreme: (1/4)(3/5 + sqrt(3) + 2 sqrt(0.21)) / 3
 MAX_PER_QUBIT = (3 / 5 + math.sqrt(3) + 2 * math.sqrt(0.21)) / 12
@@ -84,3 +86,28 @@ def test_budget_exhaustion_reports_unconverged():
     result = optimize_phases("AAB", direction="max", max_sweeps=1)
     assert result.converged is False
     assert len(result.trace) == 2
+
+
+def test_payoff_is_invariant_under_gamma_and_alphas():
+    # gamma and each alpha are a phase after a coin on its own target, which
+    # later gates read only as a control: no payoff on any input can see them.
+    rng = np.random.default_rng(29)
+    for _ in range(20):
+        seq = "".join(rng.choice(["A", "B"], size=int(rng.integers(1, 8))))
+        n = compile_sequence(seq).total_qubits
+        amps = rng.standard_normal(1 << n) + 1j * rng.standard_normal(1 << n)
+        x = rng.uniform(0.0, 2 * math.pi, 10)
+        eps = rng.uniform(-0.09, 0.09)
+        searched = PhaseAssignment(delta=x[1], betas=tuple(x[6:10]))
+        moved = PhaseAssignment(x[0], x[1], tuple(x[2:6]), tuple(x[6:10]))
+        for init in ("zero", "ghz", amps / np.linalg.norm(amps)):
+            evaluator = Evaluator(seq, init)
+            assert abs(evaluator.payoff(eps, moved) - evaluator.payoff(eps, searched)) < 1e-12
+
+
+def test_only_delta_and_betas_are_searched():
+    assert COORD_NAMES == ("delta", "beta1", "beta2", "beta3", "beta4")
+    result = optimize_phases("AAB", direction="max")
+    assert result.best_phases.gamma == 0.0
+    assert result.best_phases.alphas == (0.0,) * 4
+    assert result.evaluations == 652

@@ -9,10 +9,7 @@ from qparrondo.coins import CoinParams, PhaseAssignment, games_from_bias, su2_ma
 from qparrondo.statevector import (
     MAX_QUBITS,
     StateVector,
-    apply_single_qubit,
-    apply_single_qubit_inplace,
-    apply_two_controlled_multiplexed,
-    apply_two_controlled_multiplexed_inplace,
+    apply_gate,
     check_unitary2,
     make_basis_state,
     make_ghz,
@@ -51,6 +48,13 @@ def ref_apply_multiplexed(amps, n, hi, lo, target, mats):
         for new_bit in (0, 1):
             out[base | (new_bit << pos)] += u[new_bit, bit] * a
     return out
+
+
+def applied(state, target, controls, mats):
+    """apply_gate on a copy of the state's amplitudes; returns the copy."""
+    buf = np.array(state.amplitudes)
+    apply_gate(buf, target, controls, mats)
+    return buf
 
 
 def random_state(n, rng):
@@ -142,22 +146,23 @@ def test_amplitudes_are_read_only():
 def test_identity_leaves_state_unchanged():
     rng = np.random.default_rng(7)
     s = random_state(3, rng)
-    out = apply_single_qubit(s, 2, np.eye(2))
-    assert np.allclose(out.amplitudes, s.amplitudes, atol=ATOL)
+    out = applied(s, 2, (), (np.eye(2),))
+    assert np.allclose(out, s.amplitudes, atol=ATOL)
 
 
 def test_rotation_on_zero_gives_first_column():
     u = su2_matrix(CoinParams(theta=math.pi / 4))
-    out = apply_single_qubit(make_basis_state(1, "0"), 1, u)
-    assert np.allclose(out.amplitudes, [math.sqrt(2) / 2, math.sqrt(2) / 2], atol=ATOL)
+    out = applied(make_basis_state(1, "0"), 1, (), (u,))
+    assert np.allclose(out, [math.sqrt(2) / 2, math.sqrt(2) / 2], atol=ATOL)
 
 
 def test_unitary_then_inverse_roundtrips():
     rng = np.random.default_rng(11)
     s = random_state(4, rng)
     u = random_unitary(rng)
-    back = apply_single_qubit(apply_single_qubit(s, 3, u), 3, u.conj().T)
-    assert np.allclose(back.amplitudes, s.amplitudes, atol=ATOL)
+    buf = applied(s, 3, (), (u,))
+    apply_gate(buf, 3, (), (u.conj().T,))
+    assert np.allclose(buf, s.amplitudes, atol=ATOL)
 
 
 def test_single_qubit_matches_reference_kernel():
@@ -167,22 +172,16 @@ def test_single_qubit_matches_reference_kernel():
         target = int(rng.integers(1, n + 1))
         s = random_state(n, rng)
         u = random_unitary(rng)
-        out = apply_single_qubit(s, target, u)
+        out = applied(s, target, (), (u,))
         ref = ref_apply_single(s.amplitudes, n, target, u)
-        assert np.allclose(out.amplitudes, ref, atol=ATOL)
+        assert np.allclose(out, ref, atol=ATOL)
 
 
 def test_single_qubit_rejects_bad_target():
     s = make_ghz(3)
     for target in (0, 4, -1):
-        with pytest.raises(ValueError):
-            apply_single_qubit(s, target, np.eye(2))
-
-
-def test_non_unitary_matrix_rejected():
-    s = make_ghz(2)
-    with pytest.raises(ValueError, match="unitary"):
-        apply_single_qubit(s, 1, np.array([[1.0, 0.0], [1.0, 1.0]]))
+        with pytest.raises(ValueError, match="out of range"):
+            applied(s, target, (), (np.eye(2),))
 
 
 # --- multiplexed gate ---
@@ -190,30 +189,30 @@ def test_non_unitary_matrix_rejected():
 def test_all_identity_branches_do_nothing():
     rng = np.random.default_rng(3)
     s = random_state(4, rng)
-    out = apply_two_controlled_multiplexed(s, 1, 2, 3, (np.eye(2),) * 4)
-    assert np.allclose(out.amplitudes, s.amplitudes, atol=ATOL)
+    out = applied(s, 3, (1, 2), (np.eye(2),) * 4)
+    assert np.allclose(out, s.amplitudes, atol=ATOL)
 
 
 def test_branch_one_selected_for_zero_controls():
     # |000> has controls (0,0): branch 1 rotates the target out of |0>
     phi = 0.83
     mats = [su2_matrix(CoinParams(theta=phi + 0.2 * k)) for k in range(4)]
-    out = apply_two_controlled_multiplexed(make_basis_state(3, "000"), 1, 2, 3, mats)
+    out = applied(make_basis_state(3, "000"), 3, (1, 2), mats)
     expected = np.zeros(8, dtype=complex)
     expected[0] = math.cos(phi)
     expected[1] = math.sin(phi)
-    assert np.allclose(out.amplitudes, expected, atol=ATOL)
+    assert np.allclose(out, expected, atol=ATOL)
 
 
 def test_branch_four_selected_for_one_controls():
     phi4 = 1.1
     mats = [su2_matrix(CoinParams(theta=0.3)) for _ in range(3)]
     mats.append(su2_matrix(CoinParams(theta=phi4)))
-    out = apply_two_controlled_multiplexed(make_basis_state(3, "110"), 1, 2, 3, mats)
+    out = applied(make_basis_state(3, "110"), 3, (1, 2), mats)
     expected = np.zeros(8, dtype=complex)
     expected[6] = math.cos(phi4)
     expected[7] = math.sin(phi4)
-    assert np.allclose(out.amplitudes, expected, atol=ATOL)
+    assert np.allclose(out, expected, atol=ATOL)
 
 
 def test_equal_branches_reduce_to_single_qubit_gate():
@@ -224,9 +223,9 @@ def test_equal_branches_reduce_to_single_qubit_gate():
         hi, lo, target = (int(q) for q in qubits)
         s = random_state(n, rng)
         u = random_unitary(rng)
-        multiplexed = apply_two_controlled_multiplexed(s, hi, lo, target, (u,) * 4)
-        single = apply_single_qubit(s, target, u)
-        assert np.allclose(multiplexed.amplitudes, single.amplitudes, atol=ATOL)
+        multiplexed = applied(s, target, (hi, lo), (u,) * 4)
+        single = applied(s, target, (), (u,))
+        assert np.allclose(multiplexed, single, atol=ATOL)
 
 
 def test_multiplexed_on_adjacent_qubits_is_block_diagonal():
@@ -239,8 +238,8 @@ def test_multiplexed_on_adjacent_qubits_is_block_diagonal():
         big[2 * k : 2 * k + 2, 2 * k : 2 * k + 2] = u
     for _ in range(5):
         s = random_state(3, rng)
-        out = apply_two_controlled_multiplexed(s, 1, 2, 3, mats)
-        assert np.allclose(out.amplitudes, big @ s.amplitudes, atol=ATOL)
+        out = applied(s, 3, (1, 2), mats)
+        assert np.allclose(out, big @ s.amplitudes, atol=ATOL)
 
 
 def test_multiplexed_matches_reference_kernel():
@@ -251,9 +250,9 @@ def test_multiplexed_matches_reference_kernel():
         hi, lo, target = (int(q) for q in qubits)
         s = random_state(n, rng)
         mats = [random_unitary(rng) for _ in range(4)]
-        out = apply_two_controlled_multiplexed(s, hi, lo, target, mats)
+        out = applied(s, target, (hi, lo), mats)
         ref = ref_apply_multiplexed(s.amplitudes, n, hi, lo, target, mats)
-        assert np.allclose(out.amplitudes, ref, atol=ATOL)
+        assert np.allclose(out, ref, atol=ATOL)
 
 
 def test_controls_undisturbed_on_basis_input():
@@ -262,8 +261,8 @@ def test_controls_undisturbed_on_basis_input():
         label = "".join(rng.choice(["0", "1"], size=4))
         s = make_basis_state(4, label)
         mats = [random_unitary(rng) for _ in range(4)]
-        out = apply_two_controlled_multiplexed(s, 2, 1, 4, mats)
-        support = np.nonzero(out.amplitudes)[0]
+        out = applied(s, 4, (2, 1), mats)
+        support = np.nonzero(out)[0]
         for idx in support:
             bits = format(idx, "04b")
             assert bits[0] == label[0] and bits[1] == label[1]
@@ -273,24 +272,44 @@ def test_multiplexed_rejects_index_collisions():
     s = make_ghz(3)
     mats = (np.eye(2),) * 4
     with pytest.raises(ValueError, match="distinct"):
-        apply_two_controlled_multiplexed(s, 1, 1, 3, mats)
-    with pytest.raises(ValueError):
-        apply_two_controlled_multiplexed(s, 1, 2, 5, mats)
+        applied(s, 3, (1, 1), mats)
+    with pytest.raises(ValueError, match="out of range"):
+        applied(s, 5, (1, 2), mats)
+    with pytest.raises(ValueError, match="out of range"):
+        applied(s, 3, (0, 2), mats)
+
+
+@pytest.mark.parametrize("target, controls", [(2, (2, 1)), (1, (3, 1)), (2, (2,))])
+def test_gate_rejects_target_among_controls(target, controls):
+    buf = np.array(make_ghz(3).amplitudes)
+    before = buf.copy()
+    with pytest.raises(ValueError, match="distinct"):
+        apply_gate(buf, target, controls, (np.eye(2),) * (1 << len(controls)))
+    assert np.array_equal(buf, before)
+
+
+@pytest.mark.parametrize("controls, count", [((), 2), ((), 0), ((1, 2), 1), ((1, 2), 3), ((1,), 4)])
+def test_gate_rejects_wrong_matrix_count(controls, count):
+    buf = np.array(make_ghz(3).amplitudes)
+    before = buf.copy()
+    with pytest.raises(ValueError, match="matrices"):
+        apply_gate(buf, 3, controls, (np.eye(2),) * count)
+    assert np.array_equal(buf, before)
 
 
 # --- cross-cutting properties ---
 
 def test_norm_preserved_by_random_gates():
     rng = np.random.default_rng(61)
-    s = random_state(5, rng)
+    buf = np.array(random_state(5, rng).amplitudes)
     for _ in range(30):
         if rng.random() < 0.5:
-            s = apply_single_qubit(s, int(rng.integers(1, 6)), random_unitary(rng))
+            apply_gate(buf, int(rng.integers(1, 6)), (), (random_unitary(rng),))
         else:
             qs = rng.permutation(np.arange(1, 6))[:3]
             mats = [random_unitary(rng) for _ in range(4)]
-            s = apply_two_controlled_multiplexed(s, int(qs[0]), int(qs[1]), int(qs[2]), mats)
-        assert abs(np.sum(np.abs(s.amplitudes) ** 2) - 1.0) < ATOL
+            apply_gate(buf, int(qs[2]), (int(qs[0]), int(qs[1])), mats)
+        assert abs(np.sum(np.abs(buf) ** 2) - 1.0) < ATOL
 
 
 def test_gate_application_is_linear():
@@ -305,9 +324,9 @@ def test_gate_application_is_linear():
         scale = np.linalg.norm(combo)
         target = int(rng.integers(1, n + 1))
         u = random_unitary(rng)
-        lhs = scale * apply_single_qubit(StateVector(n, combo / scale), target, u).amplitudes
-        gx = apply_single_qubit(x, target, u).amplitudes
-        gy = apply_single_qubit(y, target, u).amplitudes
+        lhs = scale * applied(StateVector(n, combo / scale), target, (), (u,))
+        gx = applied(x, target, (), (u,))
+        gy = applied(y, target, (), (u,))
         assert np.allclose(lhs, alpha * gx + beta * gy, atol=ATOL)
 
 
@@ -345,7 +364,7 @@ def test_check_unitary2_tolerance_matches_the_allclose_rule():
         check_unitary2(np.array([[1.0, 1e-11], [0.0, 1.0]]))
 
 
-# --- in-place kernels against the reference kernels ---
+# --- the in-place kernel against the reference kernels ---
 
 # Shrinking the block and row thresholds sends small states through every
 # branch of the blocked update (column walks, row chunks, per-row recursion)
@@ -366,13 +385,11 @@ def check_inplace_against_reference(s, rng, targets, triples):
     n = s.num_qubits
     for target in targets:
         u = random_unitary(rng)
-        buf = np.array(s.amplitudes)
-        apply_single_qubit_inplace(buf, target, u)
+        buf = applied(s, target, (), (u,))
         assert np.allclose(buf, ref_apply_single(s.amplitudes, n, target, u), atol=ATOL)
     for hi, lo, target in triples:
         mats = [random_unitary(rng) for _ in range(4)]
-        buf = np.array(s.amplitudes)
-        apply_two_controlled_multiplexed_inplace(buf, hi, lo, target, mats)
+        buf = applied(s, target, (hi, lo), mats)
         ref = ref_apply_multiplexed(s.amplitudes, n, hi, lo, target, mats)
         assert np.allclose(buf, ref, atol=ATOL), (hi, lo, target)
 
@@ -394,7 +411,7 @@ def test_inplace_kernels_match_reference_above_block_size():
     check_inplace_against_reference(random_state(16, rng), rng, (1, 8, 13, 16), triples)
 
 
-# --- run against a gate-by-gate chain of the public wrappers ---
+# --- run against a gate-by-gate chain of the reference kernels ---
 
 def random_run_case(rng):
     while True:
@@ -414,7 +431,7 @@ def random_run_case(rng):
     return plan, initial_state_for(plan, init), games_from_bias(eps, phases)
 
 
-def test_run_matches_chain_of_public_wrappers():
+def test_run_matches_chain_of_reference_kernels():
     rng = np.random.default_rng(401)
     for _ in range(60):
         plan, init, (a, b) = random_run_case(rng)
@@ -422,14 +439,15 @@ def test_run_matches_chain_of_public_wrappers():
         out = run(plan, a, b, init)
         assert np.array_equal(init.amplitudes, before)
 
+        n = plan.total_qubits
         a_mat = su2_matrix(a)
         b_mats = tuple(su2_matrix(p) for p in b.branches)
-        chain = init
+        chain = init.amplitudes
         for step in plan.steps:
             if step.token == "A":
-                chain = apply_single_qubit(chain, step.target, a_mat)
+                chain = ref_apply_single(chain, n, step.target, a_mat)
             else:
                 hi, lo = step.controls
-                chain = apply_two_controlled_multiplexed(chain, hi, lo, step.target, b_mats)
-        assert np.allclose(out.amplitudes, chain.amplitudes, atol=ATOL, rtol=0.0), plan.sequence
+                chain = ref_apply_multiplexed(chain, n, hi, lo, step.target, b_mats)
+        assert np.allclose(out.amplitudes, chain, atol=ATOL, rtol=0.0), plan.steps
 

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qparrondo import payoff, transfer
+from qparrondo import payoff, statevector, transfer
 from qparrondo.classical import classical_sequence_payoff
 from qparrondo.coins import CoinParams, GameBSpec, PhaseAssignment, games_from_bias
 from qparrondo.optimize import optimize_phases
@@ -138,7 +138,7 @@ def test_coin_matrices_are_checked(monkeypatch):
 
 
 def test_norm_drift_is_rejected(monkeypatch):
-    monkeypatch.setitem(transfer._BRANCHES, "ghz", (1.0, 1.0))
+    monkeypatch.setitem(statevector.NAMED_STATES, "ghz", (1.0, 1.0))
     a, b = games_from_bias(0.0)
     with pytest.raises(ValueError, match="normalization"):
         transfer_total(compile_sequence("AAB"), a, b, "ghz")
