@@ -1,9 +1,11 @@
 """Exact classical analysis of the biased-coin games.
 
-Covers finite-sequence enumeration (expected payoff of a token string),
-stationary analysis of repeated play as a Markov chain over the last-two
--results history, randomized A/B mixtures, and the bias thresholds where a
-winning game turns losing.
+One model serves every analysis: a Markov chain, ``HistoryChain``, over the
+last two results, built by one private builder from the four per-history win
+probabilities of a game.  A finite sequence walks the chains of games A and B
+from a starting distribution over the seed results; stationary play solves
+the chain of one policy (pure A, pure B or a randomized A/B mixture); the
+bias thresholds are where a winning game turns losing.
 
 Probabilities (lose side, at bias eps): game A loses with 1/2 + eps; game B
 picks a branch from the previous two results and loses with 1/10 + eps after
@@ -11,7 +13,7 @@ picks a branch from the previous two results and loses with 1/10 + eps after
 (won,won).
 
 Sequence payoffs follow the same conventions as the quantum engine: seed
-results are enumerated (uniform by default), seed qubits contribute their
+results are averaged (uniform by default), seed qubits contribute their
 own +/-1 payoff, and "per qubit" divides by the total qubit count of the
 compiled plan, seeds included.  That shared normalization is what makes the
 classical oracle directly comparable to the quantum engine on basis-state
@@ -26,8 +28,6 @@ import numpy as np
 from .coins import GAME_A_LOSE, GAME_B_LOSE, EpsilonBias, _coerce_eps, bias_expansion
 from .tolerances import STRUCTURAL_TOL
 from .wiring import CircuitPlan, compile_sequence
-
-HISTORY_STATES = ("LL", "LW", "WL", "WW")
 
 
 @dataclass(frozen=True)
@@ -64,13 +64,13 @@ class ClassicalGameSpec:
 
 @dataclass(frozen=True)
 class HistoryChain:
-    """Markov chain over the four last-two-results histories.
+    """Markov chain over the four last-two-results histories (older, newer),
+    indexed ``(older << 1) | newer`` with 0 = lost and 1 = won.
 
     ``transition[i, j]`` is the probability of moving from history i to j in
     one game; ``reward[i]`` is the expected +/-1 payoff of that game.
     """
 
-    states: tuple[str, str, str, str]
     transition: np.ndarray
     reward: np.ndarray
 
@@ -79,7 +79,7 @@ class HistoryChain:
         r = np.asarray(self.reward, dtype=float)
         if t.shape != (4, 4) or r.shape != (4,):
             raise ValueError("HistoryChain needs a 4x4 transition matrix and 4 rewards")
-        if not np.allclose(t.sum(axis=1), 1.0, atol=STRUCTURAL_TOL, rtol=0.0):
+        if not np.all(np.abs(t.sum(axis=1) - 1.0) <= STRUCTURAL_TOL):
             raise ValueError("transition rows must each sum to 1")
         if np.any(t < -STRUCTURAL_TOL) or np.any(np.abs(r) > 1.0 + STRUCTURAL_TOL):
             raise ValueError("transition entries must be probabilities and rewards in [-1, 1]")
@@ -87,31 +87,31 @@ class HistoryChain:
         object.__setattr__(self, "reward", r)
 
 
-def _win_probs_for_policy(policy: str, eps: float, q: float) -> np.ndarray:
-    """Per-history win probability for pure A, pure B, or a q/(1-q) A-B mix."""
-    a = 1.0 - (GAME_A_LOSE + eps)
-    b = np.array([1.0 - (p + eps) for p in GAME_B_LOSE])
-    if policy == "A":
-        return np.full(4, a)
-    if policy == "B":
-        return b
-    if policy == "mix":
-        if not 0.0 <= q <= 1.0:
-            raise ValueError(f"mixing weight q={q!r} outside [0, 1]")
-        return q * a + (1.0 - q) * b
-    raise ValueError(f"policy must be 'A', 'B' or 'mix', got {policy!r}")
+def _game_wins(spec: ClassicalGameSpec) -> dict[str, np.ndarray]:
+    """Each game's win probability from each history, as a ``HistoryChain`` indexes them."""
+    return {"A": np.full(4, spec.a_win), "B": np.array(spec.b_win)}
+
+
+def _chain(win: np.ndarray) -> HistoryChain:
+    """Chain of a game that wins with ``win[i]`` from history i: (a, b) moves to (b, result)."""
+    rows = np.arange(4)
+    newer = (rows & 1) << 1
+    t = np.zeros((4, 4))
+    t[rows, newer | 1] = win
+    t[rows, newer] = 1.0 - win
+    return HistoryChain(t, 2.0 * win - 1.0)
 
 
 def build_history_chain(policy: str, e: "EpsilonBias | float", q: float = 0.5) -> HistoryChain:
-    """Chain induced by one policy: history (a,b) moves to (b, result)."""
-    eps = _coerce_eps(e)
-    win = _win_probs_for_policy(policy, eps, q)
-    t = np.zeros((4, 4))
-    for i in range(4):
-        newer = i & 1
-        t[i, (newer << 1) | 1] += win[i]
-        t[i, (newer << 1) | 0] += 1.0 - win[i]
-    return HistoryChain(HISTORY_STATES, t, 2.0 * win - 1.0)
+    """Chain of pure A, pure B, or the mixture playing A with probability q."""
+    win = _game_wins(ClassicalGameSpec.from_bias(e))
+    if policy == "mix":
+        if not 0.0 <= q <= 1.0:
+            raise ValueError(f"mixing weight q={q!r} outside [0, 1]")
+        return _chain(q * win["A"] + (1.0 - q) * win["B"])
+    if policy not in win:
+        raise ValueError(f"policy must be 'A', 'B' or 'mix', got {policy!r}")
+    return _chain(win[policy])
 
 
 def stationary_distribution(chain: HistoryChain) -> np.ndarray:
@@ -132,52 +132,28 @@ def stationary_payoff(policy: str, e: "EpsilonBias | float", q: float = 0.5) -> 
     return float(pi @ chain.reward)
 
 
-def _seed_assignments(seed_count: int, seeds) -> list[tuple[float, tuple[int, ...]]]:
-    """(weight, bits) pairs for the seed qubits, oldest first."""
+# The +/-1 payoff of the older and of the newer previous result, by history.
+_PREVIOUS_PAYOFF = np.array([[-1.0, -1.0, 1.0, 1.0], [-1.0, 1.0, -1.0, 1.0]])
+
+
+def _seed_start(seed_count: int, seeds) -> tuple[float, np.ndarray]:
+    """Expected payoff of the seed qubits and the starting history distribution.
+
+    The seeds are the two results before the sequence; a plan pays only for
+    its last ``seed_count`` of them, and the first B reads no history that a
+    game has not overwritten.
+    """
     if isinstance(seeds, str):
         if seeds != "uniform":
             raise ValueError(f"seeds must be 'uniform' or a bit pair, got {seeds!r}")
-        w = 1.0 / (1 << seed_count)
-        return [
-            (w, tuple((k >> (seed_count - 1 - i)) & 1 for i in range(seed_count)))
-            for k in range(1 << seed_count)
-        ]
-    pair = tuple(int(b) for b in seeds)
-    if len(pair) != 2 or any(b not in (0, 1) for b in pair):
-        raise ValueError(f"fixed seeds must be a pair of bits, got {seeds!r}")
-    # A plan with fewer than two seed qubits only materializes the newest
-    # of the two virtual previous results.
-    return [(1.0, pair[2 - seed_count :])] if seed_count else [(1.0, ())]
-
-
-def _sequence_total_for_assignment(
-    plan: CircuitPlan, spec: ClassicalGameSpec, seed_bits: tuple[int, ...]
-) -> float:
-    """Exact expected total payoff (seed qubits included) for fixed seeds."""
-    total = float(sum(2 * b - 1 for b in seed_bits))
-
-    # Joint distribution over the (older, newer) result pair.  Entries the
-    # first B will never see are initialized arbitrarily to 0: a B can only
-    # occur once two real outcomes precede it.
-    dist = np.zeros(4)
-    older = seed_bits[0] if len(seed_bits) == 2 else 0
-    newer = seed_bits[-1] if seed_bits else 0
-    dist[(older << 1) | newer] = 1.0
-
-    a_win = spec.a_win
-    b_win = np.asarray(spec.b_win)
-    for step in plan.steps:
-        win = np.full(4, a_win) if step.token == "A" else b_win
-        total += float(dist @ (2.0 * win - 1.0))
-        new_dist = np.zeros(4)
-        for h in range(4):
-            if dist[h] == 0.0:
-                continue
-            newer_bit = h & 1
-            new_dist[(newer_bit << 1) | 1] += dist[h] * win[h]
-            new_dist[(newer_bit << 1) | 0] += dist[h] * (1.0 - win[h])
-        dist = new_dist
-    return total
+        start = np.full(4, 0.25)
+    else:
+        pair = tuple(int(b) for b in seeds)
+        if len(pair) != 2 or any(b not in (0, 1) for b in pair):
+            raise ValueError(f"fixed seeds must be a pair of bits, got {seeds!r}")
+        start = np.zeros(4)
+        start[(pair[0] << 1) | pair[1]] = 1.0
+    return float(_PREVIOUS_PAYOFF[2 - seed_count :].sum(axis=0) @ start), start
 
 
 def classical_sequence_total(
@@ -186,14 +162,17 @@ def classical_sequence_total(
     seeds="uniform",
     spec: ClassicalGameSpec | None = None,
 ) -> tuple[float, CircuitPlan]:
-    """Expected total payoff of a sequence and its compiled plan."""
+    """Expected total payoff (seed qubits included) of a sequence and its compiled plan."""
     plan = compile_sequence(seq)
     if spec is None:
         spec = ClassicalGameSpec.from_bias(e)
-    total = 0.0
-    for weight, bits in _seed_assignments(plan.seed_count, seeds):
-        total += weight * _sequence_total_for_assignment(plan, spec, bits)
-    return total, plan
+    chains = {token: _chain(win) for token, win in _game_wins(spec).items()}
+    total, dist = _seed_start(plan.seed_count, seeds)
+    for step in plan.steps:
+        chain = chains[step.token]
+        total += dist @ chain.reward
+        dist = dist @ chain.transition
+    return float(total), plan
 
 
 def classical_sequence_payoff(
@@ -236,29 +215,23 @@ def monte_carlo_sequence_payoff(
 
     Sanity harness for the exact enumeration, not a precision tool.
     """
-    eps = _coerce_eps(e)
     plan = compile_sequence(seq)
-    spec = ClassicalGameSpec.from_bias(eps)
+    spec = ClassicalGameSpec.from_bias(e)
     rng = np.random.default_rng(seed)
-
-    older = rng.integers(0, 2, size=trials)
-    newer = rng.integers(0, 2, size=trials)
-    if plan.seed_count == 2:
-        payoff = (2 * older - 1) + (2 * newer - 1)
-    elif plan.seed_count == 1:
-        payoff = (2 * newer - 1).astype(np.int64)
-    else:
-        payoff = np.zeros(trials, dtype=np.int64)
-
-    b_win = np.asarray(spec.b_win)
+    chains = {token: _chain(win) for token, win in _game_wins(spec).items()}
+    hist = rng.integers(0, 4, size=trials)
+    payoff = _PREVIOUS_PAYOFF[2 - plan.seed_count :].sum(axis=0)[hist]
     for step in plan.steps:
-        win = np.full(trials, spec.a_win) if step.token == "A" else b_win[(older << 1) | newer]
-        result = (rng.random(trials) < win).astype(np.int64)
-        payoff = payoff + (2 * result - 1)
-        older, newer = newer, result
+        # Inverse-CDF draw of the next history from row ``hist`` of the chain.
+        cdf = np.cumsum(chains[step.token].transition, axis=1)[hist, :3]
+        hist = (cdf < rng.random((trials, 1))).sum(axis=1)
+        payoff = payoff + _PREVIOUS_PAYOFF[1, hist]
 
     samples = payoff / plan.total_qubits
     return float(samples.mean()), float(samples.std(ddof=1) / np.sqrt(trials))
+
+
+_BISECTION_TOL = 1e-10
 
 
 def _threshold(f, lo: float, hi: float, solve) -> float | None:
@@ -276,10 +249,9 @@ def paradox_threshold(
     q: float = 0.5,
     lo: float = 0.0,
     hi: float = 0.05,
-    tol: float = 1e-10,
 ) -> float | None:
     """Bias in [lo, hi] where the stationary per-game payoff of a policy
-    'A', 'B' or 'mix' (weight ``q`` on A) crosses zero, by bisection to ``tol``.
+    'A', 'B' or 'mix' (weight ``q`` on A) crosses zero, by bisection to 1e-10.
 
     Returns None when the payoff has no sign change on the interval, and
     ``lo`` when the payoff there is zero within 1e-13.
@@ -290,7 +262,7 @@ def paradox_threshold(
 
     def bisect() -> float:
         a, b = lo, hi
-        while b - a > tol:
+        while b - a > _BISECTION_TOL:
             mid = 0.5 * (a + b)
             if f(mid) > 0.0:
                 a = mid

@@ -20,6 +20,8 @@ error (exit code 3), never a bare NaN.
 """
 from __future__ import annotations
 
+import csv
+import io
 import json
 import sys
 from pathlib import Path
@@ -58,10 +60,16 @@ def _emit(data, fmt: str, out: str | None, columns=None) -> None:
     else:
         rows = data if isinstance(data, list) else [data]
         cols = list(columns) if columns else list(rows[0].keys())
-        lines = [",".join(cols)]
+        buf = io.StringIO()
+        writer = csv.writer(buf, lineterminator="\n")
+        writer.writerow(cols)
         for row in rows:
-            lines.append(",".join("" if row.get(c) is None else str(row.get(c)) for c in cols))
-        text = "\n".join(lines) + "\n"
+            # A nested value goes in one cell as compact JSON.
+            writer.writerow(
+                json.dumps(v, separators=(",", ":")) if isinstance(v, (dict, list)) else v
+                for v in (row.get(c) for c in cols)
+            )
+        text = buf.getvalue()
     if out:
         Path(out).write_text(text)
     else:
@@ -273,6 +281,8 @@ def cmd_classical(mode, sequence, policy, mix_q, eps, seeds, fmt, out):
                 out,
             )
         else:
+            if sequence is not None and policy is not None:
+                raise ValueError("mode 'threshold' takes --sequence or --policy, not both")
             if sequence is not None:
                 target, threshold = sequence, sequence_threshold(sequence)
             elif policy is not None:

@@ -5,16 +5,17 @@ and qubit 1 is the *most significant* bit of a basis label, so for three
 qubits the label "110" is basis index 6.  This makes a state written
 |q1 q2 q3> read left to right in both math and code.
 
-States are immutable at the API: a StateVector owns a read-only copy of its
-amplitudes, validated (shape, finiteness, unit norm) when it is built.  Every
-game is one gate, :func:`apply_gate`: a 2x2 unitary on a fresh target qubit,
-chosen by 0 (game A) or 2 (game B) control qubits.  It runs in place on a
-private, writable buffer, reshaped so that the target and control qubits get
-their own length-2 axes, and each 2x2 update runs on basic-index views of it.
+States are immutable at the API: a StateVector holds read-only amplitudes,
+validated (shape, finiteness, unit norm) when it is built and copied unless
+the array given is already read-only and owns its memory.  Every game is one
+gate, :func:`apply_gate`: a 2x2 unitary on a fresh target qubit, chosen by 0
+(game A) or 2 (game B) control qubits.  It runs in place on a private,
+writable buffer, reshaped so that the target and control qubits get their
+own length-2 axes, and each 2x2 update runs on basic-index views of it.
 ``wiring.run`` copies the initial state into one such buffer, validates the
-coin matrices once, runs every game on it and wraps the result once; the
-kernel checks only qubit indices and the matrix count and trusts its caller
-for the rest.
+coin matrices once, runs every game on it and hands the buffer, made
+read-only, to the result; the kernel checks only qubit indices and the matrix
+count and trusts its caller for the rest.
 
 The named initial states live in one table, NAMED_STATES, which the dense
 states here, the transfer walk and the evaluator all read.
@@ -66,8 +67,10 @@ class StateVector:
             raise ValueError(f"state has non-finite amplitudes: |psi|^2 = {norm_sq!r}")
         if abs(norm_sq - 1.0) > STRUCTURAL_TOL:
             raise ValueError(f"state is not normalized: |psi|^2 = {norm_sq!r}")
-        amps = amps.copy()
-        amps.setflags(write=False)
+        # A read-only array that owns its memory cannot change under us.
+        if amps.flags.writeable or not amps.flags.owndata:
+            amps = amps.copy()
+            amps.setflags(write=False)
         object.__setattr__(self, "amplitudes", amps)
         object.__setattr__(self, "num_qubits", int(n))
 

@@ -101,8 +101,8 @@ def run(
     ``init`` is left unchanged.  Its amplitudes are copied once into a private
     buffer that every game updates in place; the five coin matrices are
     checked for unitarity once per call, qubit indices once per game, and the
-    final amplitudes are validated once, when they become the returned
-    StateVector.
+    final amplitudes are validated once and handed, read-only and uncopied,
+    to the returned StateVector.
     """
     if init.num_qubits != plan.total_qubits:
         raise ValueError(
@@ -115,4 +115,5 @@ def run(
     buf = np.array(init.amplitudes)
     for step in plan.steps:
         apply_gate(buf, step.target, step.controls or (), mats[step.token])
+    buf.setflags(write=False)
     return StateVector(plan.total_qubits, buf)

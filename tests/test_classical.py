@@ -2,6 +2,8 @@ from itertools import product
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qparrondo.classical import (
     ClassicalGameSpec,
@@ -20,6 +22,11 @@ from qparrondo.wiring import compile_sequence
 
 ATOL = 1e-12
 E2E = 1e-9
+
+# Deterministic example generation, no example database written to disk.
+PROPERTY = settings(max_examples=100, deadline=None, derandomize=True, database=None)
+sequences = st.text(alphabet="AB", min_size=1, max_size=8)
+biases = st.floats(-0.05, 0.05, exclude_min=True, exclude_max=True)
 
 
 # --- independent brute-force oracle ---
@@ -66,12 +73,26 @@ def test_enumeration_matches_brute_force(seq, eps):
     assert abs(total - expected) < ATOL
 
 
-@pytest.mark.parametrize("seed_bits", [(0, 0), (0, 1), (1, 0), (1, 1)])
-def test_enumeration_matches_brute_force_fixed_seeds(seed_bits):
-    for seq in ("BB", "AB", "AAB"):
-        expected, _ = brute_force_total(seq, 0.004, seed_bits)
-        total, _ = classical_sequence_total(seq, 0.004, seeds=seed_bits)
-        assert abs(total - expected) < ATOL
+@pytest.mark.parametrize(
+    "seed_bits", [(0, 0), (0, 1), (1, 0), (1, 1), pytest.param("uniform", id="uniform")]
+)
+@PROPERTY
+@given(seq=sequences, eps=biases)
+def test_enumeration_matches_brute_force_fixed_seeds(seed_bits, seq, eps):
+    expected, qubits = brute_force_total(seq, eps, seed_bits)
+    total, plan = classical_sequence_total(seq, eps, seeds=seed_bits)
+    assert plan.total_qubits == qubits
+    assert abs(total - expected) < ATOL
+
+
+@pytest.mark.parametrize("policy", ["A", "B"])
+@pytest.mark.parametrize("eps", [0.0, 0.01, -0.02])
+def test_long_sequence_approaches_stationary_play(policy, eps):
+    # A sequence walks the same chain that stationary play solves; over n
+    # games the start and the seed qubits add only an O(1) total.
+    n = 2000
+    total, _ = classical_sequence_total(policy * n, eps)
+    assert abs(total / n - stationary_payoff(policy, eps)) < 1 / n
 
 
 def test_single_b_row():
@@ -155,7 +176,9 @@ def test_chain_rows_are_stochastic():
 def test_history_chain_validation():
     bad = np.full((4, 4), 0.3)
     with pytest.raises(ValueError):
-        HistoryChain(("LL", "LW", "WL", "WW"), bad, np.zeros(4))
+        HistoryChain(bad, np.zeros(4))
+    with pytest.raises(ValueError):
+        HistoryChain(np.eye(4), np.zeros(3))
 
 
 def test_policy_validation():

@@ -1,3 +1,5 @@
+import csv
+import io
 import json
 import math
 import os
@@ -286,6 +288,16 @@ def test_optimize_reports_flat_objective(runner):
     assert out["best_value"] == pytest.approx(1 / 15, abs=1e-9)
 
 
+def test_optimize_csv_row_parses_into_the_header_columns(runner):
+    result = invoke(runner, "optimize", "--sequence", "B", "--max-sweeps", "2", "--format", "csv")
+    assert result.exit_code == 0, result.output
+    header, row = csv.reader(io.StringIO(result.output))
+    assert len(row) == len(header) == 9
+    phases = json.loads(row[header.index("best_phases")])
+    assert set(phases) == {"gamma", "delta", "alphas", "betas"}
+    assert len(phases["betas"]) == 4
+
+
 # --- classical command ---
 
 def test_classical_sequence_mode(runner):
@@ -326,6 +338,14 @@ def test_classical_threshold_boundary_root(runner):
     # pure B is exactly fair at zero bias: the root sits on the interval edge
     out = parse_json(invoke(runner, "classical", "--mode", "threshold", "--policy", "B"))
     assert out["threshold"] == 0.0
+
+
+def test_classical_threshold_rejects_both_sequence_and_policy(runner):
+    result = runner.invoke(
+        main, ["classical", "--mode", "threshold", "--sequence", "AAB", "--policy", "mix"]
+    )
+    assert result.exit_code == 3
+    assert "--sequence" in error_text(result) and "--policy" in error_text(result)
 
 
 def test_classical_requires_mode_arguments(runner):

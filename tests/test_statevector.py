@@ -141,6 +141,23 @@ def test_amplitudes_are_read_only():
         s.amplitudes[0] = 0.0
 
 
+def test_state_is_unchanged_by_later_writes_to_its_source():
+    amps = np.array([1.0, 0.0, 0.0, 0.0], dtype=complex)
+    s = StateVector(2, amps)
+    amps[:] = [0.0, 1.0, 0.0, 0.0]
+    assert s.amplitudes[0] == 1.0 and s.amplitudes[1] == 0.0
+
+
+def test_read_only_view_of_a_writable_array_is_copied():
+    amps = np.array([1.0, 0.0, 0.0, 0.0], dtype=complex)
+    view = amps.view()
+    view.setflags(write=False)
+    s = StateVector(2, view)
+    assert not np.shares_memory(s.amplitudes, amps)
+    amps[0], amps[1] = 0.0, 1.0
+    assert s.amplitudes[0] == 1.0
+
+
 # --- single-qubit gate ---
 
 def test_identity_leaves_state_unchanged():
@@ -451,3 +468,12 @@ def test_run_matches_chain_of_reference_kernels():
                 chain = ref_apply_multiplexed(chain, n, hi, lo, step.target, b_mats)
         assert np.allclose(out.amplitudes, chain, atol=ATOL, rtol=0.0), plan.steps
 
+
+def test_run_returns_read_only_amplitudes_and_leaves_init_untouched():
+    rng = np.random.default_rng(402)
+    plan, init, (a, b) = random_run_case(rng)
+    before = init.amplitudes.copy()
+    out = run(plan, a, b, init)
+    assert not out.amplitudes.flags.writeable
+    assert not np.shares_memory(out.amplitudes, init.amplitudes)
+    assert np.array_equal(init.amplitudes, before)
