@@ -51,7 +51,7 @@ from .statevector import (
     make_ghz,
 )
 from .table import build_table
-from .wiring import CircuitPlan, GameStep, compile_sequence, initial_state_for, run
+from .wiring import CircuitPlan, compile_sequence, initial_state_for, run
 
 __all__ = [
     "CircuitPlan",
@@ -60,7 +60,6 @@ __all__ = [
     "EpsilonBias",
     "Evaluator",
     "GameBSpec",
-    "GameStep",
     "HistoryChain",
     "MAX_QUBITS",
     "OptimizationResult",

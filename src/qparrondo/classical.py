@@ -26,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .coins import GAME_A_LOSE, GAME_B_LOSE, EpsilonBias, _coerce_eps, bias_expansion
-from .tolerances import STRUCTURAL_TOL
+from .statevector import STRUCTURAL_TOL
 from .wiring import CircuitPlan, compile_sequence
 
 
@@ -168,8 +168,8 @@ def classical_sequence_total(
         spec = ClassicalGameSpec.from_bias(e)
     chains = {token: _chain(win) for token, win in _game_wins(spec).items()}
     total, dist = _seed_start(plan.seed_count, seeds)
-    for step in plan.steps:
-        chain = chains[step.token]
+    for token in plan.tokens:
+        chain = chains[token]
         total += dist @ chain.reward
         dist = dist @ chain.transition
     return float(total), plan
@@ -221,9 +221,9 @@ def monte_carlo_sequence_payoff(
     chains = {token: _chain(win) for token, win in _game_wins(spec).items()}
     hist = rng.integers(0, 4, size=trials)
     payoff = _PREVIOUS_PAYOFF[2 - plan.seed_count :].sum(axis=0)[hist]
-    for step in plan.steps:
+    for token in plan.tokens:
         # Inverse-CDF draw of the next history from row ``hist`` of the chain.
-        cdf = np.cumsum(chains[step.token].transition, axis=1)[hist, :3]
+        cdf = np.cumsum(chains[token].transition, axis=1)[hist, :3]
         hist = (cdf < rng.random((trials, 1))).sum(axis=1)
         payoff = payoff + _PREVIOUS_PAYOFF[1, hist]
 

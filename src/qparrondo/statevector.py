@@ -8,14 +8,14 @@ qubits the label "110" is basis index 6.  This makes a state written
 States are immutable at the API: a StateVector holds read-only amplitudes,
 validated (shape, finiteness, unit norm) when it is built and copied unless
 the array given is already read-only and owns its memory.  Every game is one
-gate, :func:`apply_gate`: a 2x2 unitary on a fresh target qubit, chosen by 0
-(game A) or 2 (game B) control qubits.  It runs in place on a private,
-writable buffer, reshaped so that the target and control qubits get their
-own length-2 axes, and each 2x2 update runs on basic-index views of it.
-``wiring.run`` copies the initial state into one such buffer, validates the
-coin matrices once, runs every game on it and hands the buffer, made
-read-only, to the result; the kernel checks only qubit indices and the matrix
-count and trusts its caller for the rest.
+gate, :func:`apply_gate`: a 2x2 unitary on a fresh target qubit, picked for
+game B by the window of two qubits just before the target (the wiring rule of
+``wiring``).  It runs in place on a private, writable buffer, reshaped so
+that the window and the target get their own axes, and each 2x2 update runs
+on basic-index views of it.  ``wiring.run`` copies the initial state into one
+such buffer, validates the coin matrices once, runs every game on it and
+hands the buffer, made read-only, to the result; the kernel checks only the
+target's range and the matrix count and trusts its caller for the rest.
 
 The named initial states live in one table, NAMED_STATES, which the dense
 states here, the transfer walk and the evaluator all read.
@@ -32,9 +32,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .tolerances import STRUCTURAL_TOL
-
 MAX_QUBITS = 24
+
+# Guards exact structural facts: norms, unitarity and stochastic rows.
+STRUCTURAL_TOL = 1e-12
 
 # Named initial states, as the weights of |0...0> and then |1...1> (a weight
 # left out is 0).
@@ -133,11 +134,6 @@ def make_ghz(num_qubits: int) -> StateVector:
     return make_named_state(num_qubits, "ghz")
 
 
-def _check_qubit_index(num_qubits: int, qubit: int, name: str) -> None:
-    if not 1 <= qubit <= num_qubits:
-        raise ValueError(f"{name}={qubit} out of range for a {num_qubits}-qubit state")
-
-
 # Amplitudes per operand in one update step.  The step's operands and
 # temporaries (64 KiB apiece) stay in cache, so a large state passes through
 # memory about once per gate rather than once per arithmetic pass.
@@ -174,59 +170,29 @@ def _rotate(a: np.ndarray, b: np.ndarray, m: np.ndarray) -> None:
                 _rotate(a[i : i + rows], b[i : i + rows], m)
 
 
-def _qubit_pairs(
-    buf: np.ndarray, target: int, controls: dict[int, int]
-) -> tuple[np.ndarray, np.ndarray]:
-    """Views of ``buf`` with the target bit at 0 and at 1 and every control fixed.
+def apply_gate(buf: np.ndarray, target: int, mats: tuple[np.ndarray, ...]) -> None:
+    """Apply one game to the fresh ``target`` qubit of ``buf``, in place.
 
-    The flat buffer is reshaped so that the target and each control qubit get
-    their own length-2 axis; qubit 1 is the most significant bit, so the axes
-    come in ascending qubit order.  Only basic indexing is used, so both
-    results are views that write through to ``buf``.
+    One matrix is game A: ``mats[0]`` acts on the target.  Four are game B:
+    the two qubits just before the target, read as ``(older << 1) | newer``,
+    pick ``mats[c]`` (the index of ``GameBSpec.branches``), and those two
+    qubits are never altered.  ``buf`` is a writable C-contiguous complex
+    array of length 2**n; every matrix must already have passed
+    :func:`check_unitary2`.
     """
     n = buf.size.bit_length() - 1
-    shape: list[int] = []
-    axes: dict[int, int] = {}
-    prev = 0
-    for q in sorted((target, *controls)):
-        if q - prev > 1:
-            shape.append(1 << (q - prev - 1))
-        axes[q] = len(shape)
-        shape.append(2)
-        prev = q
-    if n > prev:
-        shape.append(1 << (n - prev))
-    view = buf.reshape(shape)
-    index: list = [slice(None)] * len(shape)
-    for q, bit in controls.items():
-        index[axes[q]] = bit
-    index[axes[target]] = 0
-    zero = view[(*index, ...)]
-    index[axes[target]] = 1
-    return zero, view[(*index, ...)]
-
-
-def apply_gate(
-    buf: np.ndarray, target: int, controls: tuple[int, ...], mats: tuple[np.ndarray, ...]
-) -> None:
-    """Apply ``mats[c]`` to the target wherever the control bits, most
-    significant first, spell ``c``; control bits are never altered.
-
-    Game A is the gate with no controls and one matrix; game B has two
-    controls (hi, lo), so (0,0) picks mats[0], (0,1) [1], (1,0) [2], (1,1) [3].
-    ``buf`` is a writable C-contiguous complex array of length 2**n, updated
-    in place; every matrix must already have passed :func:`check_unitary2`.
-    """
-    n = buf.size.bit_length() - 1
-    _check_qubit_index(n, target, "target")
-    for q in controls:
-        _check_qubit_index(n, q, "control")
-    if len({target, *controls}) != 1 + len(controls):
-        raise ValueError(f"control/target qubits must be distinct, got {(*controls, target)}")
-    if len(mats) != 1 << len(controls):
+    if len(mats) not in (1, 4):
         raise ValueError(
-            f"{len(controls)} controls need {1 << len(controls)} matrices, got {len(mats)}"
+            f"a gate takes 1 matrix (game A) or 4 matrices (game B), got {len(mats)}"
         )
+    window = 0 if len(mats) == 1 else 2
+    if not window < target <= n:
+        raise ValueError(
+            f"target={target} out of range for a {len(mats)}-matrix gate on {n} qubits"
+        )
+    # Axes: the qubits before the window, the window's branch index, the
+    # target bit and the qubits after it.  Basic indexing keeps every
+    # operand a view that writes through to ``buf``.
+    view = buf.reshape(1 << (target - 1 - window), len(mats), 2, 1 << (n - target))
     for c, m in enumerate(mats):
-        bits = {q: (c >> k) & 1 for k, q in enumerate(reversed(controls))}
-        _rotate(*_qubit_pairs(buf, target, bits), m)
+        _rotate(view[:, c, 0], view[:, c, 1], m)

@@ -1,8 +1,8 @@
 """Linear-time payoff of a sequence on the all-zero or the GHZ initial state.
 
-Every game writes a fresh qubit, and a B game reads only the two qubits just
-before its target (see ``wiring``).  On a basis input x the amplitude of an
-outcome y is therefore a product of one factor per qubit,
+By the wiring rule of ``wiring``, every game writes a fresh qubit and a B
+game reads only the two qubits just before its target.  On a basis input x
+the amplitude of an outcome y is therefore a product of one factor per qubit,
 <y_q| U_q(y_{q-2}, y_{q-1}) |x_q>: a matrix product state whose bond is the
 last two outcome bits.  A seed qubit's factor is <y_q|x_q>, game A's does not
 depend on the controls, and game B's picks its coin by them.  The GHZ state
@@ -23,8 +23,7 @@ from __future__ import annotations
 import numpy as np
 
 from .coins import CoinParams, GameBSpec, su2_matrix
-from .statevector import NAMED_STATES, check_unitary2
-from .tolerances import STRUCTURAL_TOL
+from .statevector import NAMED_STATES, STRUCTURAL_TOL, check_unitary2
 from .wiring import CircuitPlan
 
 # Payoff of an outcome bit: -1 for a loss (0), +1 for a win (1).
@@ -68,7 +67,7 @@ def transfer_total(
         "A": pair_table(a_mat.T[:, None, None, :]),
         "B": pair_table(b_mats.reshape(2, 2, 2, 2).transpose(3, 0, 1, 2)),
     }
-    gates = ["seed"] * plan.seed_count + [step.token for step in plan.steps]
+    gates = ["seed"] * plan.seed_count + list(plan.tokens)
 
     # walk[0] is W and walk[1] is S, each indexed [pair, y_{q-1}, y_q]; before
     # the first qubit the history is a placeholder (0, 0) that no gate reads.

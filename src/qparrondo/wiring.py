@@ -1,19 +1,19 @@
 """Compile token strings over {A, B} into qubit wirings and execute them.
 
-Every game writes to a fresh target qubit; nothing is ever reused.  A game-B
-step additionally reads the two most recent *outcome* qubits as controls.
-Outcome qubits, in chronological order, are: the seed qubits (results of
-games played before the sequence starts, oldest first), then each game's
-target qubit as it is played.
-
-Seed qubits exist only when a B occurs early enough to need them:
-seed_count = max(0, 2 - number of tokens before the first B), and 0 when the
-sequence has no B at all.  Game k targets qubit seed_count + k, so
-total_qubits = seed_count + len(tokens).
+The wiring rule, stated here once for the whole package: every game writes
+to a fresh target qubit, and a game B reads, as its coin's controls, the two
+qubits just before its target, older first.  The qubits before the first game
+are seed qubits, the results of games played before the sequence starts.
+There are seed_count = max(0, 2 - number of tokens before the first B) of
+them, and none when the sequence has no B, so that the first B has two
+qubits to read.  Game k (1-based) targets qubit seed_count + k, and
+total_qubits = seed_count + len(tokens).  A plan is therefore its seed count
+and its tokens: the dense kernel, the transfer walk and the classical chain
+read the tokens in order and take everything else from this rule.
 
 For pure-B strings, alternating AB strings and AAB blocks this reproduces
 the standard sliding-window layouts exactly.  For arbitrary mixed strings
-(say "ABBAB") the same last-two-outcomes rule is applied; that
+(say "ABBAB") the same last-two-results rule is applied; that
 generalization is this library's own extension of the two-previous-results
 principle.
 
@@ -30,21 +30,15 @@ from .statevector import StateVector, apply_gate, check_unitary2, make_named_sta
 
 
 @dataclass(frozen=True)
-class GameStep:
-    """One executed game: its token, target qubit, and (for B) control qubits."""
-
-    token: str
-    target: int
-    controls: tuple[int, int] | None = None
-
-
-@dataclass(frozen=True)
 class CircuitPlan:
-    """Compiled wiring for a game sequence."""
+    """Compiled wiring for a game sequence: its seed qubits and its tokens."""
 
     seed_count: int
-    total_qubits: int
-    steps: tuple[GameStep, ...]
+    tokens: str
+
+    @property
+    def total_qubits(self) -> int:
+        return self.seed_count + len(self.tokens)
 
 
 def validate_sequence(seq: str) -> str:
@@ -57,23 +51,10 @@ def validate_sequence(seq: str) -> str:
 
 
 def compile_sequence(seq: str) -> CircuitPlan:
-    """Compile a token string into seed qubits, targets and controls."""
+    """Compile a token string into its seed count and validated tokens."""
     tokens = validate_sequence(seq)
     first_b = tokens.find("B")
-    seed_count = 0 if first_b < 0 else max(0, 2 - first_b)
-    total = seed_count + len(tokens)
-
-    outcomes = list(range(1, seed_count + 1))
-    steps = []
-    for k, tok in enumerate(tokens, start=1):
-        target = seed_count + k
-        if tok == "B":
-            controls = (outcomes[-2], outcomes[-1])
-            steps.append(GameStep("B", target, controls))
-        else:
-            steps.append(GameStep("A", target))
-        outcomes.append(target)
-    return CircuitPlan(seed_count, total, tuple(steps))
+    return CircuitPlan(0 if first_b < 0 else max(0, 2 - first_b), tokens)
 
 
 def initial_state_for(plan: CircuitPlan, kind="zero") -> StateVector:
@@ -96,11 +77,11 @@ def run(
     b_spec: GameBSpec,
     init: StateVector,
 ) -> StateVector:
-    """Execute every step of the plan against the initial state.
+    """Play every game of the plan on the initial state.
 
     ``init`` is left unchanged.  Its amplitudes are copied once into a private
     buffer that every game updates in place; the five coin matrices are
-    checked for unitarity once per call, qubit indices once per game, and the
+    checked for unitarity once per call, the target once per game, and the
     final amplitudes are validated once and handed, read-only and uncopied,
     to the returned StateVector.
     """
@@ -113,7 +94,7 @@ def run(
         "B": tuple(check_unitary2(su2_matrix(p)) for p in b_spec.branches),
     }
     buf = np.array(init.amplitudes)
-    for step in plan.steps:
-        apply_gate(buf, step.target, step.controls or (), mats[step.token])
+    for target, token in enumerate(plan.tokens, start=plan.seed_count + 1):
+        apply_gate(buf, target, mats[token])
     buf.setflags(write=False)
     return StateVector(plan.total_qubits, buf)

@@ -48,13 +48,13 @@ def brute_force_total(seq, eps, seeds="uniform"):
         seed_sets = [(1.0, tuple(seeds)[2 - sc :])]
 
     total = 0.0
-    n_games = len(plan.steps)
     for weight, seed_bits in seed_sets:
-        for outcome in product((0, 1), repeat=n_games):
+        for outcome in product((0, 1), repeat=len(seq)):
             prob = 1.0
+            # The results so far, oldest first; a B reads the latest two.
             history = list(seed_bits)
-            for step, result in zip(plan.steps, outcome):
-                w = a_win if step.token == "A" else b_win[(history[-2], history[-1])]
+            for token, result in zip(seq, outcome):
+                w = a_win if token == "A" else b_win[(history[-2], history[-1])]
                 prob *= w if result == 1 else 1.0 - w
                 history.append(result)
             payoff = sum(2 * b - 1 for b in seed_bits) + sum(2 * r - 1 for r in outcome)

@@ -1,6 +1,7 @@
 """The package index and the README's library example match the code, so a
 deleted or renamed public name cannot leave either of them stale."""
 import contextlib
+import importlib
 import io
 import re
 from fractions import Fraction
@@ -17,6 +18,22 @@ def test_every_name_in_all_imports():
     exec("from qparrondo import *", namespace)
     assert [name for name in qparrondo.__all__ if name not in namespace] == []
     assert len(set(qparrondo.__all__)) == len(qparrondo.__all__)
+
+
+def test_readme_layout_rows_name_every_module_and_only_existing_names():
+    # One row per module, and each backticked name in a row is an attribute of
+    # that module or of the package (or the package's own name), so a module
+    # or a name deleted from the code cannot stay in the table.
+    rows = re.findall(r"^\| `qparrondo\.(\w+)` \| (.*) \|$", README.read_text(), re.M)
+    package = Path(qparrondo.__file__).parent
+    assert sorted(m for m, _ in rows) == sorted(
+        p.stem for p in package.glob("*.py") if p.stem != "__init__"
+    )
+    for module, contents in rows:
+        mod = importlib.import_module(f"qparrondo.{module}")
+        for name in re.findall(r"`([A-Za-z_]\w*)`", contents):
+            known = hasattr(mod, name) or hasattr(qparrondo, name) or name == "qparrondo"
+            assert known, (module, name)
 
 
 def quick_example() -> str:

@@ -1,6 +1,4 @@
 import math
-from itertools import permutations
-
 import numpy as np
 import pytest
 
@@ -8,13 +6,13 @@ from qparrondo import statevector
 from qparrondo.coins import CoinParams, PhaseAssignment, games_from_bias, su2_matrix
 from qparrondo.statevector import (
     MAX_QUBITS,
+    STRUCTURAL_TOL,
     StateVector,
     apply_gate,
     check_unitary2,
     make_basis_state,
     make_ghz,
 )
-from qparrondo.tolerances import STRUCTURAL_TOL
 from qparrondo.wiring import compile_sequence, initial_state_for, run
 
 ATOL = 1e-12
@@ -50,10 +48,18 @@ def ref_apply_multiplexed(amps, n, hi, lo, target, mats):
     return out
 
 
-def applied(state, target, controls, mats):
+def block_diag(mats):
+    """The block-diagonal matrix diag(mats[0], mats[1], ...) of 2x2 blocks."""
+    out = np.zeros((2 * len(mats), 2 * len(mats)), dtype=complex)
+    for k, u in enumerate(mats):
+        out[2 * k : 2 * k + 2, 2 * k : 2 * k + 2] = u
+    return out
+
+
+def applied(state, target, mats):
     """apply_gate on a copy of the state's amplitudes; returns the copy."""
     buf = np.array(state.amplitudes)
-    apply_gate(buf, target, controls, mats)
+    apply_gate(buf, target, mats)
     return buf
 
 
@@ -163,13 +169,13 @@ def test_read_only_view_of_a_writable_array_is_copied():
 def test_identity_leaves_state_unchanged():
     rng = np.random.default_rng(7)
     s = random_state(3, rng)
-    out = applied(s, 2, (), (np.eye(2),))
+    out = applied(s, 2, (np.eye(2),))
     assert np.allclose(out, s.amplitudes, atol=ATOL)
 
 
 def test_rotation_on_zero_gives_first_column():
     u = su2_matrix(CoinParams(theta=math.pi / 4))
-    out = applied(make_basis_state(1, "0"), 1, (), (u,))
+    out = applied(make_basis_state(1, "0"), 1, (u,))
     assert np.allclose(out, [math.sqrt(2) / 2, math.sqrt(2) / 2], atol=ATOL)
 
 
@@ -177,8 +183,8 @@ def test_unitary_then_inverse_roundtrips():
     rng = np.random.default_rng(11)
     s = random_state(4, rng)
     u = random_unitary(rng)
-    buf = applied(s, 3, (), (u,))
-    apply_gate(buf, 3, (), (u.conj().T,))
+    buf = applied(s, 3, (u,))
+    apply_gate(buf, 3, (u.conj().T,))
     assert np.allclose(buf, s.amplitudes, atol=ATOL)
 
 
@@ -189,24 +195,26 @@ def test_single_qubit_matches_reference_kernel():
         target = int(rng.integers(1, n + 1))
         s = random_state(n, rng)
         u = random_unitary(rng)
-        out = applied(s, target, (), (u,))
+        out = applied(s, target, (u,))
         ref = ref_apply_single(s.amplitudes, n, target, u)
         assert np.allclose(out, ref, atol=ATOL)
 
 
 def test_single_qubit_rejects_bad_target():
-    s = make_ghz(3)
+    buf = np.array(make_ghz(3).amplitudes)
+    before = buf.copy()
     for target in (0, 4, -1):
         with pytest.raises(ValueError, match="out of range"):
-            applied(s, target, (), (np.eye(2),))
+            apply_gate(buf, target, (np.eye(2),))
+    assert np.array_equal(buf, before)
 
 
-# --- multiplexed gate ---
+# --- multiplexed gate (game B: the window t-2, t-1 picks the coin) ---
 
 def test_all_identity_branches_do_nothing():
     rng = np.random.default_rng(3)
     s = random_state(4, rng)
-    out = applied(s, 3, (1, 2), (np.eye(2),) * 4)
+    out = applied(s, 3, (np.eye(2),) * 4)
     assert np.allclose(out, s.amplitudes, atol=ATOL)
 
 
@@ -214,7 +222,7 @@ def test_branch_one_selected_for_zero_controls():
     # |000> has controls (0,0): branch 1 rotates the target out of |0>
     phi = 0.83
     mats = [su2_matrix(CoinParams(theta=phi + 0.2 * k)) for k in range(4)]
-    out = applied(make_basis_state(3, "000"), 3, (1, 2), mats)
+    out = applied(make_basis_state(3, "000"), 3, mats)
     expected = np.zeros(8, dtype=complex)
     expected[0] = math.cos(phi)
     expected[1] = math.sin(phi)
@@ -225,7 +233,7 @@ def test_branch_four_selected_for_one_controls():
     phi4 = 1.1
     mats = [su2_matrix(CoinParams(theta=0.3)) for _ in range(3)]
     mats.append(su2_matrix(CoinParams(theta=phi4)))
-    out = applied(make_basis_state(3, "110"), 3, (1, 2), mats)
+    out = applied(make_basis_state(3, "110"), 3, mats)
     expected = np.zeros(8, dtype=complex)
     expected[6] = math.cos(phi4)
     expected[7] = math.sin(phi4)
@@ -236,12 +244,11 @@ def test_equal_branches_reduce_to_single_qubit_gate():
     rng = np.random.default_rng(31)
     for _ in range(10):
         n = int(rng.integers(3, 6))
-        qubits = rng.permutation(np.arange(1, n + 1))[:3]
-        hi, lo, target = (int(q) for q in qubits)
+        target = int(rng.integers(3, n + 1))
         s = random_state(n, rng)
         u = random_unitary(rng)
-        multiplexed = applied(s, target, (hi, lo), (u,) * 4)
-        single = applied(s, target, (), (u,))
+        multiplexed = applied(s, target, (u,) * 4)
+        single = applied(s, target, (u,))
         assert np.allclose(multiplexed, single, atol=ATOL)
 
 
@@ -250,12 +257,10 @@ def test_multiplexed_on_adjacent_qubits_is_block_diagonal():
     # matrix diag(U1, U2, U3, U4); apply that literal matrix as the oracle
     rng = np.random.default_rng(97)
     mats = [random_unitary(rng) for _ in range(4)]
-    big = np.zeros((8, 8), dtype=complex)
-    for k, u in enumerate(mats):
-        big[2 * k : 2 * k + 2, 2 * k : 2 * k + 2] = u
+    big = block_diag(mats)
     for _ in range(5):
         s = random_state(3, rng)
-        out = applied(s, 3, (1, 2), mats)
+        out = applied(s, 3, mats)
         assert np.allclose(out, big @ s.amplitudes, atol=ATOL)
 
 
@@ -263,54 +268,43 @@ def test_multiplexed_matches_reference_kernel():
     rng = np.random.default_rng(41)
     for _ in range(20):
         n = int(rng.integers(3, 6))
-        qubits = rng.permutation(np.arange(1, n + 1))[:3]
-        hi, lo, target = (int(q) for q in qubits)
+        target = int(rng.integers(3, n + 1))
         s = random_state(n, rng)
         mats = [random_unitary(rng) for _ in range(4)]
-        out = applied(s, target, (hi, lo), mats)
-        ref = ref_apply_multiplexed(s.amplitudes, n, hi, lo, target, mats)
+        out = applied(s, target, mats)
+        ref = ref_apply_multiplexed(s.amplitudes, n, target - 2, target - 1, target, mats)
         assert np.allclose(out, ref, atol=ATOL)
 
 
 def test_controls_undisturbed_on_basis_input():
+    # a B at target 4 reads qubits 2 and 3 and changes no qubit but the target
     rng = np.random.default_rng(53)
     for _ in range(10):
         label = "".join(rng.choice(["0", "1"], size=4))
         s = make_basis_state(4, label)
         mats = [random_unitary(rng) for _ in range(4)]
-        out = applied(s, 4, (2, 1), mats)
+        out = applied(s, 4, mats)
         support = np.nonzero(out)[0]
         for idx in support:
-            bits = format(idx, "04b")
-            assert bits[0] == label[0] and bits[1] == label[1]
+            assert format(idx, "04b")[:3] == label[:3]
 
 
 def test_multiplexed_rejects_index_collisions():
-    s = make_ghz(3)
-    mats = (np.eye(2),) * 4
-    with pytest.raises(ValueError, match="distinct"):
-        applied(s, 3, (1, 1), mats)
-    with pytest.raises(ValueError, match="out of range"):
-        applied(s, 5, (1, 2), mats)
-    with pytest.raises(ValueError, match="out of range"):
-        applied(s, 3, (0, 2), mats)
-
-
-@pytest.mark.parametrize("target, controls", [(2, (2, 1)), (1, (3, 1)), (2, (2,))])
-def test_gate_rejects_target_among_controls(target, controls):
+    # a B's window must lie inside the register, so its target is 3..n
     buf = np.array(make_ghz(3).amplitudes)
     before = buf.copy()
-    with pytest.raises(ValueError, match="distinct"):
-        apply_gate(buf, target, controls, (np.eye(2),) * (1 << len(controls)))
+    for target in (1, 2, 4, 0):
+        with pytest.raises(ValueError, match="out of range"):
+            apply_gate(buf, target, (np.eye(2),) * 4)
     assert np.array_equal(buf, before)
 
 
-@pytest.mark.parametrize("controls, count", [((), 2), ((), 0), ((1, 2), 1), ((1, 2), 3), ((1,), 4)])
-def test_gate_rejects_wrong_matrix_count(controls, count):
+@pytest.mark.parametrize("count", [0, 2, 3, 5])
+def test_gate_rejects_wrong_matrix_count(count):
     buf = np.array(make_ghz(3).amplitudes)
     before = buf.copy()
     with pytest.raises(ValueError, match="matrices"):
-        apply_gate(buf, 3, controls, (np.eye(2),) * count)
+        apply_gate(buf, 3, (np.eye(2),) * count)
     assert np.array_equal(buf, before)
 
 
@@ -321,11 +315,10 @@ def test_norm_preserved_by_random_gates():
     buf = np.array(random_state(5, rng).amplitudes)
     for _ in range(30):
         if rng.random() < 0.5:
-            apply_gate(buf, int(rng.integers(1, 6)), (), (random_unitary(rng),))
+            apply_gate(buf, int(rng.integers(1, 6)), (random_unitary(rng),))
         else:
-            qs = rng.permutation(np.arange(1, 6))[:3]
             mats = [random_unitary(rng) for _ in range(4)]
-            apply_gate(buf, int(qs[2]), (int(qs[0]), int(qs[1])), mats)
+            apply_gate(buf, int(rng.integers(3, 6)), mats)
         assert abs(np.sum(np.abs(buf) ** 2) - 1.0) < ATOL
 
 
@@ -341,9 +334,9 @@ def test_gate_application_is_linear():
         scale = np.linalg.norm(combo)
         target = int(rng.integers(1, n + 1))
         u = random_unitary(rng)
-        lhs = scale * applied(StateVector(n, combo / scale), target, (), (u,))
-        gx = applied(x, target, (), (u,))
-        gy = applied(y, target, (), (u,))
+        lhs = scale * applied(StateVector(n, combo / scale), target, (u,))
+        gx = applied(x, target, (u,))
+        gy = applied(y, target, (u,))
         assert np.allclose(lhs, alpha * gx + beta * gy, atol=ATOL)
 
 
@@ -398,45 +391,59 @@ def blocking(request, monkeypatch):
     return request.param
 
 
-def check_inplace_against_reference(s, rng, targets, triples):
+def check_inplace_against_reference(s, rng, targets, windows_ending_at):
     n = s.num_qubits
     for target in targets:
         u = random_unitary(rng)
-        buf = applied(s, target, (), (u,))
+        buf = applied(s, target, (u,))
         assert np.allclose(buf, ref_apply_single(s.amplitudes, n, target, u), atol=ATOL)
-    for hi, lo, target in triples:
+    for target in windows_ending_at:
         mats = [random_unitary(rng) for _ in range(4)]
-        buf = applied(s, target, (hi, lo), mats)
-        ref = ref_apply_multiplexed(s.amplitudes, n, hi, lo, target, mats)
-        assert np.allclose(buf, ref, atol=ATOL), (hi, lo, target)
+        buf = applied(s, target, mats)
+        ref = ref_apply_multiplexed(s.amplitudes, n, target - 2, target - 1, target, mats)
+        assert np.allclose(buf, ref, atol=ATOL), target
 
 
 @pytest.mark.parametrize("n", range(3, 9))
 def test_inplace_kernels_match_reference_for_every_qubit_ordering(n, blocking):
-    # every (control_hi, control_lo, target) triple, so every relative order,
-    # including targets below, between and above their controls
+    # every gate run can produce on n qubits: game A on each target, and
+    # game B on each window (t-2, t-1, t) for t = 3..n
     rng = np.random.default_rng(300 + n)
     qubits = range(1, n + 1)
-    check_inplace_against_reference(random_state(n, rng), rng, qubits, permutations(qubits, 3))
+    check_inplace_against_reference(random_state(n, rng), rng, qubits, range(3, n + 1))
 
 
 def test_inplace_kernels_match_reference_above_block_size():
     # 16 qubits: every view the kernels update is larger than the default
     # block, so the default thresholds take the blocked branches too
     rng = np.random.default_rng(316)
-    triples = [(14, 15, 16), (1, 2, 3), (16, 1, 8), (3, 9, 2)]
-    check_inplace_against_reference(random_state(16, rng), rng, (1, 8, 13, 16), triples)
+    check_inplace_against_reference(random_state(16, rng), rng, (1, 8, 13, 16), (3, 8, 16))
 
 
 # --- run against a gate-by-gate chain of the reference kernels ---
 
-def random_run_case(rng):
+def played_games(plan):
+    """(token, target, controls) of each game, by the wiring rule as the
+    tests state it: outcome qubits are the seeds, then each game's target as
+    it is played; a game writes the next fresh qubit, and a B reads the two
+    latest outcomes."""
+    outcomes = list(range(1, plan.seed_count + 1))
+    games = []
+    for token in plan.tokens:
+        target = len(outcomes) + 1
+        games.append((token, target, tuple(outcomes[-2:]) if token == "B" else ()))
+        outcomes.append(target)
+    assert len(outcomes) == plan.total_qubits
+    return games
+
+
+def random_run_case(rng, max_qubits=10, kinds=("zero", "ghz", "custom")):
     while True:
         seq = "".join(rng.choice(["A", "B"], size=int(rng.integers(1, 9))))
         plan = compile_sequence(seq)
-        if plan.total_qubits <= 10:
+        if plan.total_qubits <= max_qubits:
             break
-    kind = ("zero", "ghz", "custom")[int(rng.integers(3))]
+    kind = kinds[int(rng.integers(len(kinds)))]
     init = random_state(plan.total_qubits, rng) if kind == "custom" else kind
     phases = PhaseAssignment(
         gamma=rng.uniform(0, 2 * math.pi),
@@ -448,6 +455,10 @@ def random_run_case(rng):
     return plan, initial_state_for(plan, init), games_from_bias(eps, phases)
 
 
+def coin_matrices(a, b):
+    return {"A": (su2_matrix(a),), "B": tuple(su2_matrix(p) for p in b.branches)}
+
+
 def test_run_matches_chain_of_reference_kernels():
     rng = np.random.default_rng(401)
     for _ in range(60):
@@ -457,16 +468,36 @@ def test_run_matches_chain_of_reference_kernels():
         assert np.array_equal(init.amplitudes, before)
 
         n = plan.total_qubits
-        a_mat = su2_matrix(a)
-        b_mats = tuple(su2_matrix(p) for p in b.branches)
+        mats = coin_matrices(a, b)
         chain = init.amplitudes
-        for step in plan.steps:
-            if step.token == "A":
-                chain = ref_apply_single(chain, n, step.target, a_mat)
+        for token, target, controls in played_games(plan):
+            if token == "A":
+                chain = ref_apply_single(chain, n, target, *mats["A"])
             else:
-                hi, lo = step.controls
-                chain = ref_apply_multiplexed(chain, n, hi, lo, step.target, b_mats)
-        assert np.allclose(out.amplitudes, chain, atol=ATOL, rtol=0.0), plan.steps
+                chain = ref_apply_multiplexed(chain, n, *controls, target, mats["B"])
+        assert np.allclose(out.amplitudes, chain, atol=ATOL, rtol=0.0), plan
+
+
+def test_run_matches_kronecker_unitaries():
+    # Each game as one 2^n x 2^n matrix, kron(I, block_diag(mats), I): the
+    # block spans the controls and the target, which the wiring rule puts on
+    # adjacent qubits, older control first.
+    rng = np.random.default_rng(403)
+    for _ in range(60):
+        plan, init, (a, b) = random_run_case(rng, max_qubits=8, kinds=("custom",))
+        n = plan.total_qubits
+        mats = coin_matrices(a, b)
+        expected = init.amplitudes
+        for token, target, controls in played_games(plan):
+            first = controls[0] if controls else target
+            assert (*controls, target) == tuple(range(first, target + 1))
+            game = np.kron(
+                np.kron(np.eye(1 << (first - 1)), block_diag(mats[token])),
+                np.eye(1 << (n - target)),
+            )
+            expected = game @ expected
+        out = run(plan, a, b, init)
+        assert np.allclose(out.amplitudes, expected, atol=1e-12, rtol=0.0), plan
 
 
 def test_run_returns_read_only_amplitudes_and_leaves_init_untouched():

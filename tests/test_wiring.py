@@ -5,7 +5,7 @@ import pytest
 
 from qparrondo.coins import PhaseAssignment, games_from_bias
 from qparrondo.statevector import make_basis_state, make_ghz
-from qparrondo.wiring import GameStep, compile_sequence, initial_state_for, run
+from qparrondo.wiring import compile_sequence, initial_state_for, run
 
 ATOL = 1e-12
 
@@ -21,49 +21,60 @@ def random_phases(rng):
 
 # --- compilation ---
 
+def wiring(plan):
+    """(token, target, controls) of each game, by the wiring rule as this test
+    states it: outcome qubits are the seeds, then each game's target as it is
+    played; a game writes the next fresh qubit, and a B reads the two latest
+    outcomes."""
+    outcomes = list(range(1, plan.seed_count + 1))
+    games = []
+    for token in plan.tokens:
+        target = len(outcomes) + 1
+        games.append((token, target, tuple(outcomes[-2:]) if token == "B" else None))
+        outcomes.append(target)
+    return games
+
+
 def test_compile_single_b_needs_two_seeds():
     plan = compile_sequence("B")
-    assert plan.seed_count == 2
-    assert plan.total_qubits == 3
-    assert plan.steps == (GameStep("B", 3, (1, 2)),)
+    assert (plan.seed_count, plan.total_qubits, plan.tokens) == (2, 3, "B")
+    assert wiring(plan) == [("B", 3, (1, 2))]
 
 
 def test_compile_aab_needs_no_seeds():
     plan = compile_sequence("AAB")
-    assert plan.seed_count == 0
-    assert plan.total_qubits == 3
-    assert plan.steps == (GameStep("A", 1), GameStep("A", 2), GameStep("B", 3, (1, 2)))
+    assert (plan.seed_count, plan.total_qubits, plan.tokens) == (0, 3, "AAB")
+    assert wiring(plan) == [("A", 1, None), ("A", 2, None), ("B", 3, (1, 2))]
 
 
 def test_compile_ab_needs_one_seed():
     plan = compile_sequence("AB")
-    assert plan.seed_count == 1
-    assert plan.total_qubits == 3
-    assert plan.steps == (GameStep("A", 2), GameStep("B", 3, (1, 2)))
+    assert (plan.seed_count, plan.total_qubits, plan.tokens) == (1, 3, "AB")
+    assert wiring(plan) == [("A", 2, None), ("B", 3, (1, 2))]
 
 
 def test_compile_repeated_aab_blocks_do_not_feed():
     plan = compile_sequence("AABAAB")
-    assert plan.seed_count == 0
-    assert plan.total_qubits == 6
-    assert plan.steps[5] == GameStep("B", 6, (4, 5))
+    assert (plan.seed_count, plan.total_qubits, plan.tokens) == (0, 6, "AABAAB")
+    assert wiring(plan)[5] == ("B", 6, (4, 5))
 
 
 def test_compile_pure_a_has_no_seeds():
     plan = compile_sequence("A")
-    assert plan.seed_count == 0 and plan.total_qubits == 1
+    assert (plan.seed_count, plan.total_qubits, plan.tokens) == (0, 1, "A")
 
 
 def test_compile_chained_bs_slide_the_window():
     plan = compile_sequence("BBB")
-    controls = [s.controls for s in plan.steps]
-    assert controls == [(1, 2), (2, 3), (3, 4)]
+    assert (plan.seed_count, plan.total_qubits, plan.tokens) == (2, 5, "BBB")
+    assert [controls for _, _, controls in wiring(plan)] == [(1, 2), (2, 3), (3, 4)]
 
 
 def test_compile_mixed_sequence_uses_latest_outcomes():
     plan = compile_sequence("ABBAB")
-    assert plan.seed_count == 1
-    assert [s.controls for s in plan.steps] == [None, (1, 2), (2, 3), None, (4, 5)]
+    assert (plan.seed_count, plan.total_qubits, plan.tokens) == (1, 6, "ABBAB")
+    controls = [c for _, _, c in wiring(plan)]
+    assert controls == [None, (1, 2), (2, 3), None, (4, 5)]
 
 
 def test_compile_is_deterministic():
