@@ -25,12 +25,7 @@ from .classical import (
     stationary_payoff,
 )
 from .coins import (
-    CoinParams,
-    EpsilonBias,
-    GameBSpec,
     PhaseAssignment,
-    game_a_from_bias,
-    game_b_from_bias,
     games_from_bias,
     lose_prob_to_theta,
     su2_matrix,
@@ -56,10 +51,7 @@ from .wiring import CircuitPlan, compile_sequence, initial_state_for, run
 __all__ = [
     "CircuitPlan",
     "ClassicalGameSpec",
-    "CoinParams",
-    "EpsilonBias",
     "Evaluator",
-    "GameBSpec",
     "HistoryChain",
     "MAX_QUBITS",
     "OptimizationResult",
@@ -78,8 +70,6 @@ __all__ = [
     "classical_sequence_payoff",
     "classical_sequence_total",
     "compile_sequence",
-    "game_a_from_bias",
-    "game_b_from_bias",
     "games_from_bias",
     "initial_state_for",
     "lose_prob_to_theta",

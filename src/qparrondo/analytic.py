@@ -32,8 +32,8 @@ from .coins import (
     GAME_A_LOSE,
     GAME_B_LOSE,
     PhaseAssignment,
-    _coerce_eps,
     bias_expansion,
+    check_bias,
     lose_prob_to_theta,
 )
 
@@ -42,7 +42,7 @@ PI = math.pi
 
 def aab_angles_from_bias(e: float) -> tuple[float, tuple[float, float, float, float]]:
     """(theta, four phis) realizing the standard probabilities at bias eps."""
-    eps = _coerce_eps(e)
+    eps = check_bias(e)
     theta = lose_prob_to_theta(GAME_A_LOSE + eps)
     phis = tuple(lose_prob_to_theta(p + eps) for p in GAME_B_LOSE)
     return theta, phis

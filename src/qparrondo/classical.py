@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .coins import GAME_A_LOSE, GAME_B_LOSE, EpsilonBias, _coerce_eps, bias_expansion
+from .coins import GAME_A_LOSE, GAME_B_LOSE, bias_expansion, check_bias
 from .statevector import STRUCTURAL_TOL
 from .wiring import CircuitPlan, compile_sequence
 
@@ -47,17 +47,17 @@ class ClassicalGameSpec:
         object.__setattr__(self, "a_win", float(self.a_win))
 
     @classmethod
-    def from_bias(cls, e: "EpsilonBias | float") -> "ClassicalGameSpec":
-        eps = _coerce_eps(e)
+    def from_bias(cls, e: float) -> "ClassicalGameSpec":
+        eps = check_bias(e)
         return cls(
             a_win=1.0 - (GAME_A_LOSE + eps),
             b_win=tuple(1.0 - (p + eps) for p in GAME_B_LOSE),
         )
 
     @classmethod
-    def single_branch(cls, e: "EpsilonBias | float", branch: int) -> "ClassicalGameSpec":
+    def single_branch(cls, e: float, branch: int) -> "ClassicalGameSpec":
         """Variant where every B history is forced to one branch (0-based)."""
-        eps = _coerce_eps(e)
+        eps = check_bias(e)
         w = 1.0 - (GAME_B_LOSE[branch] + eps)
         return cls(a_win=1.0 - (GAME_A_LOSE + eps), b_win=(w, w, w, w))
 
@@ -81,7 +81,8 @@ class HistoryChain:
             raise ValueError("HistoryChain needs a 4x4 transition matrix and 4 rewards")
         if not np.all(np.abs(t.sum(axis=1) - 1.0) <= STRUCTURAL_TOL):
             raise ValueError("transition rows must each sum to 1")
-        if np.any(t < -STRUCTURAL_TOL) or np.any(np.abs(r) > 1.0 + STRUCTURAL_TOL):
+        # Each bound is written so that a NaN fails it.
+        if not (np.all(t >= -STRUCTURAL_TOL) and np.all(np.abs(r) <= 1.0 + STRUCTURAL_TOL)):
             raise ValueError("transition entries must be probabilities and rewards in [-1, 1]")
         object.__setattr__(self, "transition", t)
         object.__setattr__(self, "reward", r)
@@ -102,7 +103,7 @@ def _chain(win: np.ndarray) -> HistoryChain:
     return HistoryChain(t, 2.0 * win - 1.0)
 
 
-def build_history_chain(policy: str, e: "EpsilonBias | float", q: float = 0.5) -> HistoryChain:
+def build_history_chain(policy: str, e: float, q: float = 0.5) -> HistoryChain:
     """Chain of pure A, pure B, or the mixture playing A with probability q."""
     win = _game_wins(ClassicalGameSpec.from_bias(e))
     if policy == "mix":
@@ -125,7 +126,7 @@ def stationary_distribution(chain: HistoryChain) -> np.ndarray:
     return np.clip(pi, 0.0, None) / np.clip(pi, 0.0, None).sum()
 
 
-def stationary_payoff(policy: str, e: "EpsilonBias | float", q: float = 0.5) -> float:
+def stationary_payoff(policy: str, e: float, q: float = 0.5) -> float:
     """Long-run expected payoff per game under the given policy."""
     chain = build_history_chain(policy, e, q)
     pi = stationary_distribution(chain)
@@ -158,7 +159,7 @@ def _seed_start(seed_count: int, seeds) -> tuple[float, np.ndarray]:
 
 def classical_sequence_total(
     seq: str,
-    e: "EpsilonBias | float" = 0.0,
+    e: float = 0.0,
     seeds="uniform",
     spec: ClassicalGameSpec | None = None,
 ) -> tuple[float, CircuitPlan]:
@@ -177,7 +178,7 @@ def classical_sequence_total(
 
 def classical_sequence_payoff(
     seq: str,
-    e: "EpsilonBias | float" = 0.0,
+    e: float = 0.0,
     seeds="uniform",
     spec: ClassicalGameSpec | None = None,
 ) -> float:
@@ -207,14 +208,17 @@ def classical_sequence_expansion(
 
 def monte_carlo_sequence_payoff(
     seq: str,
-    e: "EpsilonBias | float" = 0.0,
+    e: float = 0.0,
     trials: int = 100_000,
     seed: int | None = None,
 ) -> tuple[float, float]:
     """Simulated per-qubit payoff with uniform seeds: (mean, standard error).
 
-    Sanity harness for the exact enumeration, not a precision tool.
+    Sanity harness for the exact enumeration, not a precision tool.  The
+    standard error needs at least two trials.
     """
+    if trials < 2:
+        raise ValueError(f"trials={trials!r} must be at least 2")
     plan = compile_sequence(seq)
     spec = ClassicalGameSpec.from_bias(e)
     rng = np.random.default_rng(seed)

@@ -39,6 +39,7 @@ from .classical import (
 from .coins import PhaseAssignment, bias_expansion
 from .optimize import optimize_phases
 from .payoff import Evaluator, per_qubit
+from .statevector import NAMED_STATES
 from .table import TABLE_COLUMNS, build_table
 
 
@@ -102,7 +103,7 @@ def _load_phases(path: str | None) -> PhaseAssignment | None:
 
 def _load_init(init: str):
     """Pass a named initial state through; read anything else as a state file."""
-    if init in Evaluator.NAMED_STATES:
+    if init in NAMED_STATES:
         return init
     try:
         doc = json.loads(Path(init).read_text())

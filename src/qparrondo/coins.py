@@ -1,4 +1,4 @@
-"""SU(2) coin operators and the four-branch history game built from them.
+"""SU(2) coins and the five coins that make up games A and B.
 
 One coin is a general SU(2) rotation
 
@@ -6,13 +6,18 @@ One coin is a general SU(2) rotation
         [ exp(-i(gamma+delta)/2) cos(theta)   -exp(-i(gamma-delta)/2) sin(theta) ]
         [ exp(+i(gamma-delta)/2) sin(theta)    exp(+i(gamma+delta)/2) cos(theta) ]
 
-with theta in [-pi, pi] and gamma, delta in [0, 2*pi].  With the project-wide
+which is unitary with unit determinant for any finite angles; by convention
+theta lies in [-pi, pi] and gamma, delta in [0, 2*pi).  With the project-wide
 encoding |0> = lose, |1> = win, tossing the coin on a fresh |0> qubit stays
 |0> (loses) with probability cos(theta)^2, so a classical lose probability p
 maps to theta = arccos(sqrt(p)), chosen on [0, pi/2] so sin(theta) >= 0.
 
-Game B is four such coins, one per two-game history branch, in the fixed
-order (lost,lost), (lost,won), (won,lost), (won,won).
+The two games are five such coins in one (5, 2, 2) array, the output of
+``games_from_bias``.  Coin 0 is game A's.  Coins 1-4 are game B's, one per
+two-game history: coin 1 + ((older << 1) | newer), with 0 = lost and 1 = won,
+so (lost,lost), (lost,won), (won,lost), (won,won) in turn.  That is the index
+the gate kernel and the classical ``HistoryChain`` read.  Every backend takes
+this array and checks it once with ``statevector.check_coins``.
 
 Caveat, stated loudly because it is easy to trip over: acting on a target
 already in |1>, the coin *wins* (stays |1>) with probability cos(theta)^2 --
@@ -35,8 +40,6 @@ TWO_PI = 2.0 * math.pi
 GAME_A_LOSE = 0.5
 GAME_B_LOSE = (0.1, 0.75, 0.75, 0.3)
 
-HISTORY_ORDER = ("lost,lost", "lost,won", "won,lost", "won,won")
-
 # Derived probabilities stay strictly inside (0,1) only for |eps| below this
 # (the tightest branch has lose probability 0.1 + eps).
 MAX_EPS = 0.1
@@ -53,52 +56,12 @@ def bias_expansion(value: Callable[[float], float]) -> tuple[float, float]:
     return c0, c1
 
 
-@dataclass(frozen=True)
-class EpsilonBias:
-    """Bias shifting every lose probability by +eps; |eps| must be < 1/10."""
-
-    eps: float
-
-    def __post_init__(self) -> None:
-        e = float(self.eps)
-        if not math.isfinite(e) or abs(e) >= MAX_EPS:
-            raise ValueError(f"bias eps={self.eps!r} must satisfy |eps| < {MAX_EPS}")
-        object.__setattr__(self, "eps", e)
-
-
-def _coerce_eps(e: "EpsilonBias | float") -> float:
-    if isinstance(e, EpsilonBias):
-        return e.eps
-    return EpsilonBias(float(e)).eps
-
-
-@dataclass(frozen=True)
-class CoinParams:
-    """Angles (theta, gamma, delta) of one SU(2) coin."""
-
-    theta: float
-    gamma: float = 0.0
-    delta: float = 0.0
-
-    def __post_init__(self) -> None:
-        if not -math.pi <= self.theta <= math.pi:
-            raise ValueError(f"theta={self.theta!r} outside [-pi, pi]")
-        for name in ("gamma", "delta"):
-            v = getattr(self, name)
-            if not 0.0 <= v <= TWO_PI:
-                raise ValueError(f"{name}={v!r} outside [0, 2*pi]")
-
-
-@dataclass(frozen=True)
-class GameBSpec:
-    """Four coins for game B, indexed by history per HISTORY_ORDER."""
-
-    branches: tuple[CoinParams, CoinParams, CoinParams, CoinParams]
-
-    def __post_init__(self) -> None:
-        if len(self.branches) != 4 or not all(isinstance(b, CoinParams) for b in self.branches):
-            raise ValueError("GameBSpec needs exactly four CoinParams branches")
-        object.__setattr__(self, "branches", tuple(self.branches))
+def check_bias(eps: float) -> float:
+    """``eps`` as a float; raises ValueError unless it is finite with |eps| < MAX_EPS."""
+    e = float(eps)
+    if not math.isfinite(e) or abs(e) >= MAX_EPS:
+        raise ValueError(f"bias eps={e!r} must satisfy |eps| < {MAX_EPS}")
+    return e
 
 
 def _check_finite_angle(name: str, value: float) -> None:
@@ -139,12 +102,12 @@ def reduce_angle(x: float) -> float:
     return float(np.mod(x, TWO_PI))
 
 
-def su2_matrix(p: CoinParams) -> np.ndarray:
-    """The 2x2 SU(2) matrix for the given coin angles."""
-    c = math.cos(p.theta)
-    s = math.sin(p.theta)
-    gp = (p.gamma + p.delta) / 2.0
-    gm = (p.gamma - p.delta) / 2.0
+def su2_matrix(theta: float, gamma: float = 0.0, delta: float = 0.0) -> np.ndarray:
+    """The 2x2 SU(2) matrix A(theta, gamma, delta)."""
+    c = math.cos(theta)
+    s = math.sin(theta)
+    gp = (gamma + delta) / 2.0
+    gm = (gamma - delta) / 2.0
     return np.array(
         [
             [np.exp(-1j * gp) * c, -np.exp(-1j * gm) * s],
@@ -161,49 +124,24 @@ def lose_prob_to_theta(p_lose: float) -> float:
     return math.acos(math.sqrt(p_lose))
 
 
-def game_a_from_bias(e: EpsilonBias | float, gamma: float = 0.0, delta: float = 0.0) -> CoinParams:
-    """Game A coin: lose probability 1/2 + eps, phases passed through."""
-    eps = _coerce_eps(e)
-    return CoinParams(
-        theta=lose_prob_to_theta(GAME_A_LOSE + eps),
-        gamma=reduce_angle(gamma),
-        delta=reduce_angle(delta),
-    )
+def games_from_bias(eps: float, phases: PhaseAssignment | None = None) -> np.ndarray:
+    """The five coins at bias ``eps`` as one (5, 2, 2) array.
 
-
-def game_b_from_bias(
-    e: EpsilonBias | float,
-    phases: "tuple[tuple[float, float], ...] | None" = None,
-) -> GameBSpec:
-    """Game B branch coins from lose probabilities (0.1, 0.75, 0.75, 0.3) + eps.
-
-    ``phases`` is an optional sequence of four (alpha, beta) pairs in the
-    history order of HISTORY_ORDER; defaults to all zeros.
+    Coin 0 is game A's: lose probability 1/2 + eps, phases (gamma, delta).
+    Coins 1-4 are game B's, indexed 1 + ((older << 1) | newer) by the history
+    they follow: lose probabilities (0.1, 0.75, 0.75, 0.3) + eps, phases
+    (alphas[k], betas[k]).  Phases default to zero and are reduced mod 2*pi.
     """
-    eps = _coerce_eps(e)
-    if phases is None:
-        phases = ((0.0, 0.0),) * 4
-    phases = tuple(phases)
-    if len(phases) != 4:
-        raise ValueError(f"expected 4 (alpha, beta) pairs, got {len(phases)}")
-    branches = tuple(
-        CoinParams(
-            theta=lose_prob_to_theta(p + eps),
-            gamma=reduce_angle(a),
-            delta=reduce_angle(b),
-        )
-        for p, (a, b) in zip(GAME_B_LOSE, phases)
-    )
-    return GameBSpec(branches)
-
-
-def games_from_bias(
-    e: EpsilonBias | float,
-    phases: PhaseAssignment | None = None,
-) -> tuple[CoinParams, GameBSpec]:
-    """Both game operators for one bias and one phase assignment."""
+    eps = check_bias(eps)
     if phases is None:
         phases = PhaseAssignment()
-    a = game_a_from_bias(e, phases.gamma, phases.delta)
-    b = game_b_from_bias(e, tuple(zip(phases.alphas, phases.betas)))
-    return a, b
+    return np.array(
+        [
+            su2_matrix(lose_prob_to_theta(p + eps), reduce_angle(g), reduce_angle(d))
+            for p, g, d in zip(
+                (GAME_A_LOSE, *GAME_B_LOSE),
+                (phases.gamma, *phases.alphas),
+                (phases.delta, *phases.betas),
+            )
+        ]
+    )

@@ -16,7 +16,8 @@ c1*eps, with c1 the central difference of ``coins.bias_expansion``.
 picks its backend once.  The all-zero and GHZ states, named by the strings
 "zero" and "ghz", take the linear-time transfer-matrix walk of ``transfer``
 (any sequence length); a StateVector or an amplitude array takes the dense
-``wiring.run`` (at most MAX_QUBITS qubits).
+``wiring.run`` (at most MAX_QUBITS qubits).  Each evaluation builds the five
+coins of ``coins.games_from_bias`` and hands that one array to the backend.
 """
 from __future__ import annotations
 
@@ -73,15 +74,13 @@ class Evaluator:
     once, here, and takes the dense ``run``.
     """
 
-    NAMED_STATES = NAMED_STATES
-
     def __init__(self, seq: str, init="ghz"):
         self.plan = plan = compile_sequence(seq)
-        if isinstance(init, str) and init in self.NAMED_STATES:
-            self._total = lambda a, b: transfer_total(plan, a, b, init)
+        if isinstance(init, str) and init in NAMED_STATES:
+            self._total = lambda coins: transfer_total(plan, coins, init)
         else:
             state = initial_state_for(plan, init)
-            self._total = lambda a, b: payoff_expectation(run(plan, a, b, state))
+            self._total = lambda coins: payoff_expectation(run(plan, coins, state))
 
     def payoff(
         self,
@@ -90,7 +89,7 @@ class Evaluator:
         normalize: bool = True,
     ) -> float:
         """The payoff at bias ``eps``, per qubit unless ``normalize`` is False."""
-        total = self._total(*games_from_bias(eps, phases))
+        total = self._total(games_from_bias(eps, phases))
         return per_qubit(total, self.plan.total_qubits) if normalize else total
 
     def expansion(

@@ -13,12 +13,13 @@ game B by the window of two qubits just before the target (the wiring rule of
 ``wiring``).  It runs in place on a private, writable buffer, reshaped so
 that the window and the target get their own axes, and each 2x2 update runs
 on basic-index views of it.  ``wiring.run`` copies the initial state into one
-such buffer, validates the coin matrices once, runs every game on it and
-hands the buffer, made read-only, to the result; the kernel checks only the
-target's range and the matrix count and trusts its caller for the rest.
+such buffer, validates the five coins once with :func:`check_coins`, runs
+every game on it and hands the buffer, made read-only, to the result; the
+kernel checks only the target's range and the coin count and trusts its
+caller for the rest.
 
 The named initial states live in one table, NAMED_STATES, which the dense
-states here, the transfer walk and the evaluator all read.
+states here, the transfer walk, the evaluator and the CLI all read.
 
 Capacity is capped at MAX_QUBITS = 24 (about 256 MiB of amplitudes).  The cap
 binds the dense path only: sequences of any length compile, and on the
@@ -97,6 +98,18 @@ def check_unitary2(u: np.ndarray) -> np.ndarray:
     return m
 
 
+def check_coins(coins: np.ndarray) -> np.ndarray:
+    """Validate the (5, 2, 2) coin array of ``coins.games_from_bias``: game A's
+    coin, then game B's four, each passing :func:`check_unitary2`.  Returns it
+    as a complex array."""
+    c = np.asarray(coins, dtype=complex)
+    if c.shape != (5, 2, 2):
+        raise ValueError(f"expected five 2x2 coins, shape (5, 2, 2), got shape {c.shape}")
+    for m in c:
+        check_unitary2(m)
+    return c
+
+
 def _check_register_size(num_qubits: int) -> None:
     if not isinstance(num_qubits, (int, np.integer)) or num_qubits < 1:
         raise ValueError(f"num_qubits must be a positive integer, got {num_qubits!r}")
@@ -170,29 +183,29 @@ def _rotate(a: np.ndarray, b: np.ndarray, m: np.ndarray) -> None:
                 _rotate(a[i : i + rows], b[i : i + rows], m)
 
 
-def apply_gate(buf: np.ndarray, target: int, mats: tuple[np.ndarray, ...]) -> None:
+def apply_gate(buf: np.ndarray, target: int, coins: np.ndarray) -> None:
     """Apply one game to the fresh ``target`` qubit of ``buf``, in place.
 
-    One matrix is game A: ``mats[0]`` acts on the target.  Four are game B:
+    One coin is game A: ``coins[0]`` acts on the target.  Four are game B:
     the two qubits just before the target, read as ``(older << 1) | newer``,
-    pick ``mats[c]`` (the index of ``GameBSpec.branches``), and those two
-    qubits are never altered.  ``buf`` is a writable C-contiguous complex
-    array of length 2**n; every matrix must already have passed
-    :func:`check_unitary2`.
+    pick ``coins[c]``, and those two qubits are never altered.  ``wiring.run``
+    passes slices of the five-coin array, ``coins[:1]`` or ``coins[1:]``.
+    ``buf`` is a writable C-contiguous complex array of length 2**n; every
+    coin must already have passed :func:`check_unitary2`.
     """
     n = buf.size.bit_length() - 1
-    if len(mats) not in (1, 4):
+    if len(coins) not in (1, 4):
         raise ValueError(
-            f"a gate takes 1 matrix (game A) or 4 matrices (game B), got {len(mats)}"
+            f"a gate takes 1 matrix (game A) or 4 matrices (game B), got {len(coins)}"
         )
-    window = 0 if len(mats) == 1 else 2
+    window = 0 if len(coins) == 1 else 2
     if not window < target <= n:
         raise ValueError(
-            f"target={target} out of range for a {len(mats)}-matrix gate on {n} qubits"
+            f"target={target} out of range for a {len(coins)}-matrix gate on {n} qubits"
         )
     # Axes: the qubits before the window, the window's branch index, the
     # target bit and the qubits after it.  Basic indexing keeps every
     # operand a view that writes through to ``buf``.
-    view = buf.reshape(1 << (target - 1 - window), len(mats), 2, 1 << (n - target))
-    for c, m in enumerate(mats):
+    view = buf.reshape(1 << (target - 1 - window), len(coins), 2, 1 << (n - target))
+    for c, m in enumerate(coins):
         _rotate(view[:, c, 0], view[:, c, 1], m)

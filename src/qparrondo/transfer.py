@@ -5,7 +5,9 @@ game reads only the two qubits just before its target.  On a basis input x
 the amplitude of an outcome y is therefore a product of one factor per qubit,
 <y_q| U_q(y_{q-2}, y_{q-1}) |x_q>: a matrix product state whose bond is the
 last two outcome bits.  A seed qubit's factor is <y_q|x_q>, game A's does not
-depend on the controls, and game B's picks its coin by them.  The GHZ state
+depend on the controls, and game B's picks its coin by them: the factors are
+read off the five-coin array of ``coins.games_from_bias``, checked once by
+``statevector.check_coins`` as ``wiring.run`` checks it.  The GHZ state
 is the sum of the two branches x = 0...0 and x = 1...1, each weighted
 1/sqrt(2); the all-zero state is the first branch alone.  The weights are
 those of ``statevector.NAMED_STATES``, the dense states' table.
@@ -22,8 +24,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .coins import CoinParams, GameBSpec, su2_matrix
-from .statevector import NAMED_STATES, STRUCTURAL_TOL, check_unitary2
+from .statevector import NAMED_STATES, STRUCTURAL_TOL, check_coins
 from .wiring import CircuitPlan
 
 # Payoff of an outcome bit: -1 for a loss (0), +1 for a win (1).
@@ -33,15 +34,11 @@ _PAYOFF = np.array([-1.0, 1.0])
 _SEED = np.eye(2)[:, None, None, :]
 
 
-def transfer_total(
-    plan: CircuitPlan,
-    a_params: CoinParams,
-    b_spec: GameBSpec,
-    kind: str,
-) -> float:
-    """Exact total payoff of ``plan`` on the ``kind`` ("zero" or "ghz") state.
+def transfer_total(plan: CircuitPlan, coins: np.ndarray, kind: str) -> float:
+    """Exact total payoff of ``plan`` on the ``kind`` ("zero" or "ghz") state,
+    with the five coins of ``coins.games_from_bias``.
 
-    Runs the coin checks of ``wiring.run`` and, at the end, requires the
+    Runs the coin check of ``wiring.run`` and, at the end, requires the
     carried norm to be 1 within STRUCTURAL_TOL, the bound a StateVector
     enforces; raises ValueError otherwise.
     """
@@ -49,8 +46,7 @@ def transfer_total(
         raise ValueError(
             f"no transfer-matrix walk for initial state {kind!r}; use {tuple(NAMED_STATES)}"
         )
-    a_mat = check_unitary2(su2_matrix(a_params))
-    b_mats = np.array([check_unitary2(su2_matrix(p)) for p in b_spec.branches])
+    coins = check_coins(coins)
     # Input-branch amplitudes: branch b starts every qubit in |b>.
     amps = np.array(NAMED_STATES[kind])
     n_branches = len(amps)
@@ -64,8 +60,8 @@ def transfer_total(
 
     tables = {
         "seed": pair_table(_SEED),
-        "A": pair_table(a_mat.T[:, None, None, :]),
-        "B": pair_table(b_mats.reshape(2, 2, 2, 2).transpose(3, 0, 1, 2)),
+        "A": pair_table(coins[0].T[:, None, None, :]),
+        "B": pair_table(coins[1:].reshape(2, 2, 2, 2).transpose(3, 0, 1, 2)),
     }
     gates = ["seed"] * plan.seed_count + list(plan.tokens)
 

@@ -9,7 +9,9 @@ them, and none when the sequence has no B, so that the first B has two
 qubits to read.  Game k (1-based) targets qubit seed_count + k, and
 total_qubits = seed_count + len(tokens).  A plan is therefore its seed count
 and its tokens: the dense kernel, the transfer walk and the classical chain
-read the tokens in order and take everything else from this rule.
+read the tokens in order and take everything else from this rule.  ``run``
+plays a plan with the five coins of ``coins.games_from_bias``: game A tosses
+coin 0, and game B tosses coin 1 + ((older << 1) | newer) of its two controls.
 
 For pure-B strings, alternating AB strings and AAB blocks this reproduces
 the standard sliding-window layouts exactly.  For arbitrary mixed strings
@@ -25,8 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .coins import CoinParams, GameBSpec, su2_matrix
-from .statevector import StateVector, apply_gate, check_unitary2, make_named_state
+from .statevector import StateVector, apply_gate, check_coins, make_named_state
 
 
 @dataclass(frozen=True)
@@ -71,30 +72,25 @@ def initial_state_for(plan: CircuitPlan, kind="zero") -> StateVector:
     return StateVector(plan.total_qubits, amps)
 
 
-def run(
-    plan: CircuitPlan,
-    a_params: CoinParams,
-    b_spec: GameBSpec,
-    init: StateVector,
-) -> StateVector:
-    """Play every game of the plan on the initial state.
+def run(plan: CircuitPlan, coins: np.ndarray, init: StateVector) -> StateVector:
+    """Play every game of the plan on the initial state with the five coins
+    of ``coins.games_from_bias``: game A tosses ``coins[0]``, game B one of
+    ``coins[1:]``.
 
     ``init`` is left unchanged.  Its amplitudes are copied once into a private
-    buffer that every game updates in place; the five coin matrices are
-    checked for unitarity once per call, the target once per game, and the
-    final amplitudes are validated once and handed, read-only and uncopied,
-    to the returned StateVector.
+    buffer that every game updates in place; the coins are checked once per
+    call by ``check_coins``, the target once per game, and the final
+    amplitudes are validated once and handed, read-only and uncopied, to the
+    returned StateVector.
     """
     if init.num_qubits != plan.total_qubits:
         raise ValueError(
             f"initial state has {init.num_qubits} qubits, plan needs {plan.total_qubits}"
         )
-    mats = {
-        "A": (check_unitary2(su2_matrix(a_params)),),
-        "B": tuple(check_unitary2(su2_matrix(p)) for p in b_spec.branches),
-    }
+    coins = check_coins(coins)
+    gates = {"A": coins[:1], "B": coins[1:]}
     buf = np.array(init.amplitudes)
     for target, token in enumerate(plan.tokens, start=plan.seed_count + 1):
-        apply_gate(buf, target, mats[token])
+        apply_gate(buf, target, gates[token])
     buf.setflags(write=False)
     return StateVector(plan.total_qubits, buf)

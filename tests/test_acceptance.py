@@ -23,15 +23,7 @@ from qparrondo.classical import (
     sequence_threshold,
     stationary_payoff,
 )
-from qparrondo.coins import (
-    CoinParams,
-    GameBSpec,
-    PhaseAssignment,
-    game_a_from_bias,
-    game_b_from_bias,
-    games_from_bias,
-    su2_matrix,
-)
+from qparrondo.coins import PhaseAssignment, games_from_bias, su2_matrix
 from qparrondo.optimize import optimize_phases
 from qparrondo.payoff import (
     payoff_epsilon_expansion,
@@ -168,9 +160,18 @@ def test_criterion_4_single_branch_interference():
         for _ in range(3):
             alpha1 = rng.uniform(0, 2 * math.pi)
             beta1 = rng.uniform(0, 2 * math.pi)
-            a = game_a_from_bias(eps, gamma=rng.uniform(0, 2 * math.pi), delta=rng.uniform(0, 2 * math.pi))
-            b1 = game_b_from_bias(eps, ((alpha1, beta1),) * 4).branches[0]
-            value = payoff_expectation(run(plan, a, GameBSpec((b1,) * 4), ghz))
+            coins = games_from_bias(
+                eps,
+                PhaseAssignment(
+                    gamma=rng.uniform(0, 2 * math.pi),
+                    delta=rng.uniform(0, 2 * math.pi),
+                    alphas=(alpha1,) * 4,
+                    betas=(beta1,) * 4,
+                ),
+            )
+            # Game B tosses its (lost,lost) coin whatever the history.
+            coins[1:] = coins[1]
+            value = payoff_expectation(run(plan, coins, ghz))
             _check(failures, abs(value) < 1e-10, f"quantum single-branch payoff {value} at eps={eps}")
         total, _ = classical_sequence_total("AAB", eps, spec=ClassicalGameSpec.single_branch(eps, 0))
         _check(failures, abs(total - (4 / 5 - 6 * eps)) < 1e-9, f"classical single-branch total {total}")
@@ -221,15 +222,12 @@ def test_criterion_7_structural_invariants():
         theta = rng.uniform(-math.pi, math.pi)
         phis = tuple(rng.uniform(-math.pi, math.pi, 4))
         phases = _random_phases(rng)
-        a = CoinParams(theta, phases.gamma, phases.delta)
-        b = GameBSpec(
-            tuple(
-                CoinParams(phi, al, be)
-                for phi, al, be in zip(phis, phases.alphas, phases.betas)
-            )
+        coins = np.array(
+            [su2_matrix(theta, phases.gamma, phases.delta)]
+            + [su2_matrix(*angles) for angles in zip(phis, phases.alphas, phases.betas)]
         )
-        sim_zero = payoff_expectation(run(plan, a, b, initial_state_for(plan, "zero")))
-        sim_ghz = payoff_expectation(run(plan, a, b, initial_state_for(plan, "ghz")))
+        sim_zero = payoff_expectation(run(plan, coins, initial_state_for(plan, "zero")))
+        sim_ghz = payoff_expectation(run(plan, coins, initial_state_for(plan, "ghz")))
         _check(
             failures,
             abs(sim_zero - aab_payoff_zero_state(theta, phis)) < 1e-10,
@@ -244,21 +242,21 @@ def test_criterion_7_structural_invariants():
     # support preservation (exact zeros outside the allowed labels)
     for seq, keep in (("BBB", 2), ("ABAB", 1)):
         plan = compile_sequence(seq)
-        a, b = games_from_bias(0.003, _random_phases(rng))
+        coins = games_from_bias(0.003, _random_phases(rng))
         for _ in range(4):
             label = "".join(rng.choice(["0", "1"], size=plan.total_qubits))
-            out = run(plan, a, b, make_basis_state(plan.total_qubits, label))
+            out = run(plan, coins, make_basis_state(plan.total_qubits, label))
             for idx in np.nonzero(out.amplitudes)[0]:
                 bits = format(idx, f"0{plan.total_qubits}b")
                 _check(failures, bits[:keep] == label[:keep], f"{seq}: leading qubits disturbed")
 
     # block factorization of repeated AAB on the all-zero state
-    a, b = games_from_bias(0.0)
+    coins = games_from_bias(0.0)
     plan3 = compile_sequence("AAB")
-    block = run(plan3, a, b, initial_state_for(plan3, "zero")).amplitudes
+    block = run(plan3, coins, initial_state_for(plan3, "zero")).amplitudes
     for reps in (2, 3, 4):
         plan_n = compile_sequence("AAB" * reps)
-        full = run(plan_n, a, b, initial_state_for(plan_n, "zero")).amplitudes
+        full = run(plan_n, coins, initial_state_for(plan_n, "zero")).amplitudes
         tensor = block
         for _ in range(reps - 1):
             tensor = np.kron(tensor, block)
@@ -268,16 +266,14 @@ def test_criterion_7_structural_invariants():
     eye = np.eye(2)
     for _ in range(1000):
         m = su2_matrix(
-            CoinParams(
-                rng.uniform(-math.pi, math.pi),
-                rng.uniform(0, 2 * math.pi),
-                rng.uniform(0, 2 * math.pi),
-            )
+            rng.uniform(-math.pi, math.pi),
+            rng.uniform(0, 2 * math.pi),
+            rng.uniform(0, 2 * math.pi),
         )
         _check(failures, np.allclose(m.conj().T @ m, eye, atol=1e-12), "non-unitary coin")
     state = initial_state_for(compile_sequence("ABBAB"), "ghz")
-    a, b = games_from_bias(0.01, _random_phases(rng))
-    out = run(compile_sequence("ABBAB"), a, b, state)
+    coins = games_from_bias(0.01, _random_phases(rng))
+    out = run(compile_sequence("ABBAB"), coins, state)
     _check(
         failures,
         abs(np.sum(np.abs(out.amplitudes) ** 2) - 1.0) < 1e-12,
@@ -290,8 +286,8 @@ def test_criterion_8_performance():
     failures = []
     start = time.perf_counter()
     plan = compile_sequence("B" * 18)  # 2 seeds + 18 games = 20 qubits
-    a, b = games_from_bias(0.0)
-    state = run(plan, a, b, initial_state_for(plan, "ghz"))
+    coins = games_from_bias(0.0)
+    state = run(plan, coins, initial_state_for(plan, "ghz"))
     payoff_expectation(state)
     elapsed = time.perf_counter() - start
     _check(failures, plan.total_qubits == 20, "plan is not 20 qubits")

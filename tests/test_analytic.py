@@ -11,7 +11,7 @@ from qparrondo.analytic import (
     aab_payoff_ghz,
     aab_payoff_zero_state,
 )
-from qparrondo.coins import CoinParams, GameBSpec, PhaseAssignment
+from qparrondo.coins import PhaseAssignment, su2_matrix
 from qparrondo.payoff import payoff_expectation
 from qparrondo.wiring import compile_sequence, initial_state_for, run
 
@@ -38,14 +38,11 @@ def random_phases(rng):
 
 def simulate_aab(theta, phis, phases, init_kind):
     plan = compile_sequence("AAB")
-    a = CoinParams(theta, phases.gamma, phases.delta)
-    b = GameBSpec(
-        tuple(
-            CoinParams(phi, alpha, beta)
-            for phi, alpha, beta in zip(phis, phases.alphas, phases.betas)
-        )
+    coins = np.array(
+        [su2_matrix(theta, phases.gamma, phases.delta)]
+        + [su2_matrix(*angles) for angles in zip(phis, phases.alphas, phases.betas)]
     )
-    state = run(plan, a, b, initial_state_for(plan, init_kind))
+    state = run(plan, coins, initial_state_for(plan, init_kind))
     return payoff_expectation(state)
 
 

@@ -181,6 +181,25 @@ def test_history_chain_validation():
         HistoryChain(np.eye(4), np.zeros(3))
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, 1.5])
+def test_history_chain_rejects_bad_rewards(bad):
+    reward = np.zeros(4)
+    reward[0] = bad
+    with pytest.raises(ValueError, match="rewards in"):
+        HistoryChain(np.full((4, 4), 0.25), reward)
+
+
+def test_history_chain_rejects_bad_transitions():
+    nan_entry = np.full((4, 4), 0.25)
+    nan_entry[2, 1] = np.nan
+    with pytest.raises(ValueError, match="sum to 1"):
+        HistoryChain(nan_entry, np.zeros(4))
+    negative = np.full((4, 4), 0.25)
+    negative[1] = (1.5, -0.5, 0.0, 0.0)
+    with pytest.raises(ValueError, match="probabilities"):
+        HistoryChain(negative, np.zeros(4))
+
+
 def test_policy_validation():
     with pytest.raises(ValueError):
         stationary_payoff("C", 0.0)
@@ -239,3 +258,9 @@ def test_monte_carlo_agrees_with_enumeration():
     exact = classical_sequence_payoff("BB", 0.001)
     mean, stderr = monte_carlo_sequence_payoff("BB", 0.001, trials=1_000_000, seed=8)
     assert abs(mean - exact) < 3 * stderr
+
+
+@pytest.mark.parametrize("trials", [1, 0, -5])
+def test_monte_carlo_needs_two_trials(trials):
+    with pytest.raises(ValueError, match="trials"):
+        monte_carlo_sequence_payoff("AAB", trials=trials)

@@ -3,12 +3,13 @@ import numpy as np
 import pytest
 
 from qparrondo import statevector
-from qparrondo.coins import CoinParams, PhaseAssignment, games_from_bias, su2_matrix
+from qparrondo.coins import PhaseAssignment, games_from_bias, su2_matrix
 from qparrondo.statevector import (
     MAX_QUBITS,
     STRUCTURAL_TOL,
     StateVector,
     apply_gate,
+    check_coins,
     check_unitary2,
     make_basis_state,
     make_ghz,
@@ -70,11 +71,9 @@ def random_state(n, rng):
 
 def random_unitary(rng):
     return su2_matrix(
-        CoinParams(
-            theta=rng.uniform(-math.pi, math.pi),
-            gamma=rng.uniform(0, 2 * math.pi),
-            delta=rng.uniform(0, 2 * math.pi),
-        )
+        theta=rng.uniform(-math.pi, math.pi),
+        gamma=rng.uniform(0, 2 * math.pi),
+        delta=rng.uniform(0, 2 * math.pi),
     )
 
 
@@ -174,7 +173,7 @@ def test_identity_leaves_state_unchanged():
 
 
 def test_rotation_on_zero_gives_first_column():
-    u = su2_matrix(CoinParams(theta=math.pi / 4))
+    u = su2_matrix(math.pi / 4)
     out = applied(make_basis_state(1, "0"), 1, (u,))
     assert np.allclose(out, [math.sqrt(2) / 2, math.sqrt(2) / 2], atol=ATOL)
 
@@ -221,7 +220,7 @@ def test_all_identity_branches_do_nothing():
 def test_branch_one_selected_for_zero_controls():
     # |000> has controls (0,0): branch 1 rotates the target out of |0>
     phi = 0.83
-    mats = [su2_matrix(CoinParams(theta=phi + 0.2 * k)) for k in range(4)]
+    mats = [su2_matrix(phi + 0.2 * k) for k in range(4)]
     out = applied(make_basis_state(3, "000"), 3, mats)
     expected = np.zeros(8, dtype=complex)
     expected[0] = math.cos(phi)
@@ -231,8 +230,8 @@ def test_branch_one_selected_for_zero_controls():
 
 def test_branch_four_selected_for_one_controls():
     phi4 = 1.1
-    mats = [su2_matrix(CoinParams(theta=0.3)) for _ in range(3)]
-    mats.append(su2_matrix(CoinParams(theta=phi4)))
+    mats = [su2_matrix(0.3) for _ in range(3)]
+    mats.append(su2_matrix(phi4))
     out = applied(make_basis_state(3, "110"), 3, mats)
     expected = np.zeros(8, dtype=complex)
     expected[6] = math.cos(phi4)
@@ -357,6 +356,14 @@ def test_check_unitary2_rejects_non_finite_entries(bad):
             check_unitary2(m)
 
 
+@pytest.mark.parametrize("shape", [(4, 2, 2), (6, 2, 2), (5, 3, 3)])
+def test_check_coins_rejects_wrong_shapes(shape):
+    coins = np.zeros(shape, dtype=complex)
+    coins[:, [0, 1], [0, 1]] = 1.0
+    with pytest.raises(ValueError, match=r"shape \(5, 2, 2\)"):
+        check_coins(coins)
+
+
 def test_check_unitary2_tolerance_matches_the_allclose_rule():
     # max |(m^H m - I)_ij| <= STRUCTURAL_TOL, as np.allclose(atol, rtol=0)
     rng = np.random.default_rng(84)
@@ -455,20 +462,20 @@ def random_run_case(rng, max_qubits=10, kinds=("zero", "ghz", "custom")):
     return plan, initial_state_for(plan, init), games_from_bias(eps, phases)
 
 
-def coin_matrices(a, b):
-    return {"A": (su2_matrix(a),), "B": tuple(su2_matrix(p) for p in b.branches)}
+def coin_matrices(coins):
+    return {"A": coins[:1], "B": coins[1:]}
 
 
 def test_run_matches_chain_of_reference_kernels():
     rng = np.random.default_rng(401)
     for _ in range(60):
-        plan, init, (a, b) = random_run_case(rng)
+        plan, init, coins = random_run_case(rng)
         before = init.amplitudes.copy()
-        out = run(plan, a, b, init)
+        out = run(plan, coins, init)
         assert np.array_equal(init.amplitudes, before)
 
         n = plan.total_qubits
-        mats = coin_matrices(a, b)
+        mats = coin_matrices(coins)
         chain = init.amplitudes
         for token, target, controls in played_games(plan):
             if token == "A":
@@ -484,9 +491,9 @@ def test_run_matches_kronecker_unitaries():
     # adjacent qubits, older control first.
     rng = np.random.default_rng(403)
     for _ in range(60):
-        plan, init, (a, b) = random_run_case(rng, max_qubits=8, kinds=("custom",))
+        plan, init, coins = random_run_case(rng, max_qubits=8, kinds=("custom",))
         n = plan.total_qubits
-        mats = coin_matrices(a, b)
+        mats = coin_matrices(coins)
         expected = init.amplitudes
         for token, target, controls in played_games(plan):
             first = controls[0] if controls else target
@@ -496,15 +503,15 @@ def test_run_matches_kronecker_unitaries():
                 np.eye(1 << (n - target)),
             )
             expected = game @ expected
-        out = run(plan, a, b, init)
+        out = run(plan, coins, init)
         assert np.allclose(out.amplitudes, expected, atol=1e-12, rtol=0.0), plan
 
 
 def test_run_returns_read_only_amplitudes_and_leaves_init_untouched():
     rng = np.random.default_rng(402)
-    plan, init, (a, b) = random_run_case(rng)
+    plan, init, coins = random_run_case(rng)
     before = init.amplitudes.copy()
-    out = run(plan, a, b, init)
+    out = run(plan, coins, init)
     assert not out.amplitudes.flags.writeable
     assert not np.shares_memory(out.amplitudes, init.amplitudes)
     assert np.array_equal(init.amplitudes, before)

@@ -5,9 +5,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qparrondo import payoff, statevector, transfer
+from qparrondo import payoff, statevector
 from qparrondo.classical import classical_sequence_payoff
-from qparrondo.coins import CoinParams, GameBSpec, PhaseAssignment, games_from_bias
+from qparrondo.coins import PhaseAssignment, games_from_bias, su2_matrix
 from qparrondo.optimize import optimize_phases
 from qparrondo.payoff import payoff_epsilon_expansion, payoff_expectation, sequence_payoff
 from qparrondo.statevector import make_ghz
@@ -31,19 +31,18 @@ phase_assignments = st.builds(
 # Arbitrary coins, every angle drawn independently: unlike bias-derived coins,
 # the (lost,won) and (won,lost) branches of B differ, so a backend that reads
 # the two history bits in the wrong order is caught.
-coins = st.builds(
-    CoinParams,
-    theta=st.floats(-math.pi, math.pi),
-    gamma=st.floats(0.0, 2 * math.pi),
-    delta=st.floats(0.0, 2 * math.pi),
+coin_angles = st.tuples(
+    st.floats(-math.pi, math.pi),
+    st.floats(0.0, 2 * math.pi),
+    st.floats(0.0, 2 * math.pi),
 )
 small_sequences = st.text("AB", min_size=1, max_size=10).filter(
     lambda seq: compile_sequence(seq).total_qubits <= 10
 )
 
 
-def dense_total(plan, a, b, kind):
-    return payoff_expectation(run(plan, a, b, initial_state_for(plan, kind)))
+def dense_total(plan, coins, kind):
+    return payoff_expectation(run(plan, coins, initial_state_for(plan, kind)))
 
 
 # --- differential: transfer-matrix walk against the dense engine ---
@@ -57,21 +56,20 @@ def dense_total(plan, a, b, kind):
 )
 def test_transfer_matches_dense_engine(seq, phases, eps, kind):
     plan = compile_sequence(seq)
-    a, b = games_from_bias(eps, phases)
-    assert abs(transfer_total(plan, a, b, kind) - dense_total(plan, a, b, kind)) <= ATOL
+    coins = games_from_bias(eps, phases)
+    assert abs(transfer_total(plan, coins, kind) - dense_total(plan, coins, kind)) <= ATOL
 
 
 @PROPERTY
 @given(
     seq=small_sequences,
-    a=coins,
-    branches=st.tuples(coins, coins, coins, coins),
+    angles=st.tuples(*[coin_angles] * 5),
     kind=st.sampled_from(["zero", "ghz"]),
 )
-def test_transfer_matches_dense_engine_on_arbitrary_coins(seq, a, branches, kind):
+def test_transfer_matches_dense_engine_on_arbitrary_coins(seq, angles, kind):
     plan = compile_sequence(seq)
-    b = GameBSpec(branches)
-    assert abs(transfer_total(plan, a, b, kind) - dense_total(plan, a, b, kind)) <= ATOL
+    coins = np.array([su2_matrix(*coin) for coin in angles])
+    assert abs(transfer_total(plan, coins, kind) - dense_total(plan, coins, kind)) <= ATOL
 
 
 @pytest.mark.parametrize("kind", ["zero", "ghz"])
@@ -79,9 +77,9 @@ def test_transfer_matches_dense_engine_on_arbitrary_coins(seq, a, branches, kind
 def test_transfer_matches_dense_engine_on_large_registers(seq, kind):
     rng = np.random.default_rng(3)
     x = rng.uniform(0, 2 * math.pi, 10)
-    a, b = games_from_bias(0.01, PhaseAssignment(x[0], x[1], tuple(x[2:6]), tuple(x[6:])))
+    coins = games_from_bias(0.01, PhaseAssignment(x[0], x[1], tuple(x[2:6]), tuple(x[6:])))
     plan = compile_sequence(seq)
-    assert abs(transfer_total(plan, a, b, kind) - dense_total(plan, a, b, kind)) <= ATOL
+    assert abs(transfer_total(plan, coins, kind) - dense_total(plan, coins, kind)) <= ATOL
 
 
 # --- sequences beyond the dense cap ---
@@ -100,10 +98,10 @@ def test_zero_state_matches_classical_oracle_far_past_the_cap():
 def test_aab_blocks_on_3000_qubits():
     plan = compile_sequence("AAB" * 1000)
     assert plan.total_qubits == 3000
-    a, b = games_from_bias(0.0)
+    coins = games_from_bias(0.0)
     # AAB blocks on the all-zero state do not feed each other: 1000 x 1/20.
-    assert transfer_total(plan, a, b, "zero") == pytest.approx(50.0, abs=1e-9)
-    assert transfer_total(plan, a, b, "ghz") == pytest.approx(0.0, abs=1e-9)
+    assert transfer_total(plan, coins, "zero") == pytest.approx(50.0, abs=1e-9)
+    assert transfer_total(plan, coins, "ghz") == pytest.approx(0.0, abs=1e-9)
 
 
 @pytest.mark.parametrize("repetitions", [12, 50])
@@ -123,25 +121,68 @@ def test_optimizer_runs_past_the_cap():
 # --- checks the walk shares with the dense engine ---
 
 def test_unknown_kind_is_rejected():
-    a, b = games_from_bias(0.0)
+    coins = games_from_bias(0.0)
     with pytest.raises(ValueError, match="uniform"):
-        transfer_total(compile_sequence("AB"), a, b, "uniform")
+        transfer_total(compile_sequence("AB"), coins, "uniform")
     with pytest.raises(ValueError, match="unknown initial-state kind"):
         sequence_payoff("AB", init="uniform")
 
 
-def test_coin_matrices_are_checked(monkeypatch):
-    monkeypatch.setattr(transfer, "su2_matrix", lambda p: 1.5 * np.eye(2))
-    a, b = games_from_bias(0.0)
-    with pytest.raises(ValueError, match="not unitary"):
-        transfer_total(compile_sequence("AAB"), a, b, "ghz")
+def test_coin_matrices_are_checked():
+    plan = compile_sequence("AAB")
+    init = initial_state_for(plan, "ghz")
+    for k in range(5):
+        coins = games_from_bias(0.0)
+        coins[k] = 1.5 * np.eye(2)
+        with pytest.raises(ValueError, match="not unitary"):
+            transfer_total(plan, coins, "ghz")
+        with pytest.raises(ValueError, match="not unitary"):
+            run(plan, coins, init)
+    with pytest.raises(ValueError, match=r"shape \(5, 2, 2\)"):
+        transfer_total(plan, games_from_bias(0.0)[1:], "ghz")
+    with pytest.raises(ValueError, match=r"shape \(5, 2, 2\)"):
+        run(plan, games_from_bias(0.0)[1:], init)
+
+
+NON_FINITE_ANGLES = [
+    (math.nan, 0.0, 0.0),
+    (0.3, math.nan, 0.0),
+    (0.3, 0.0, math.nan),
+    (math.inf, 0.0, 0.0),
+    (0.3, math.inf, 0.0),
+    (0.3, 0.0, -math.inf),
+]
+
+
+def coins_with(angles, k):
+    """The unbiased coins with coin ``k`` built from ``angles``.  numpy warns as
+    an infinite phase turns the coin's entries to NaN; math.cos raises
+    ValueError outright on an infinite theta."""
+    coins = games_from_bias(0.0)
+    with np.errstate(invalid="ignore"):
+        coins[k] = su2_matrix(*angles)
+    return coins
+
+
+@pytest.mark.parametrize("angles", NON_FINITE_ANGLES)
+def test_non_finite_angle_is_rejected_by_both_backends(angles):
+    plan = compile_sequence("ABB")
+    for kind in ("zero", "ghz"):
+        init = initial_state_for(plan, kind)
+        before = init.amplitudes.copy()
+        for k in (0, 1, 4):
+            with pytest.raises(ValueError):
+                transfer_total(plan, coins_with(angles, k), kind)
+            with pytest.raises(ValueError):
+                run(plan, coins_with(angles, k), init)
+        assert np.array_equal(init.amplitudes, before)
 
 
 def test_norm_drift_is_rejected(monkeypatch):
     monkeypatch.setitem(statevector.NAMED_STATES, "ghz", (1.0, 1.0))
-    a, b = games_from_bias(0.0)
+    coins = games_from_bias(0.0)
     with pytest.raises(ValueError, match="normalization"):
-        transfer_total(compile_sequence("AAB"), a, b, "ghz")
+        transfer_total(compile_sequence("AAB"), coins, "ghz")
 
 
 # --- backend selection ---

@@ -136,9 +136,9 @@ def test_initial_state_rejects_bad_kind():
 
 def test_run_single_b_from_all_zero():
     plan = compile_sequence("B")
-    a, b = games_from_bias(0.0)
-    out = run(plan, a, b, initial_state_for(plan, "zero"))
-    phi1 = b.branches[0].theta
+    coins = games_from_bias(0.0)
+    out = run(plan, coins, initial_state_for(plan, "zero"))
+    phi1 = math.acos(math.sqrt(0.1))
     assert abs(out.amplitudes[0] - math.cos(phi1)) < ATOL
     assert abs(out.amplitudes[1] - math.sin(phi1)) < ATOL
     assert abs(math.cos(phi1) ** 2 - 0.1) < ATOL
@@ -146,25 +146,25 @@ def test_run_single_b_from_all_zero():
 
 def test_run_single_a_coin_toss():
     plan = compile_sequence("A")
-    a, b = games_from_bias(0.0)
-    out = run(plan, a, b, initial_state_for(plan, "zero"))
+    coins = games_from_bias(0.0)
+    out = run(plan, coins, initial_state_for(plan, "zero"))
     assert np.allclose(out.amplitudes, [math.sqrt(2) / 2, math.sqrt(2) / 2], atol=ATOL)
 
 
 def test_run_b_on_ghz_keeps_history_qubits():
     rng = np.random.default_rng(2)
     plan = compile_sequence("B")
-    a, b = games_from_bias(0.0, random_phases(rng))
-    out = run(plan, a, b, initial_state_for(plan, "ghz"))
+    coins = games_from_bias(0.0, random_phases(rng))
+    out = run(plan, coins, initial_state_for(plan, "ghz"))
     support = np.nonzero(out.amplitudes)[0]
     assert set(support) <= {0b000, 0b001, 0b110, 0b111}
 
 
 def test_run_rejects_qubit_count_mismatch():
     plan = compile_sequence("AAB")
-    a, b = games_from_bias(0.0)
+    coins = games_from_bias(0.0)
     with pytest.raises(ValueError, match="qubits"):
-        run(plan, a, b, make_ghz(4))
+        run(plan, coins, make_ghz(4))
 
 
 # --- structural properties ---
@@ -173,10 +173,10 @@ def test_pure_b_preserves_first_two_bits_exactly():
     rng = np.random.default_rng(17)
     for seq in ("B", "BB", "BBB"):
         plan = compile_sequence(seq)
-        a, b = games_from_bias(0.003, random_phases(rng))
+        coins = games_from_bias(0.003, random_phases(rng))
         for _ in range(4):
             label = "".join(rng.choice(["0", "1"], size=plan.total_qubits))
-            out = run(plan, a, b, make_basis_state(plan.total_qubits, label))
+            out = run(plan, coins, make_basis_state(plan.total_qubits, label))
             for idx in np.nonzero(out.amplitudes)[0]:
                 bits = format(idx, f"0{plan.total_qubits}b")
                 assert bits[:2] == label[:2]
@@ -186,10 +186,10 @@ def test_alternating_ab_preserves_first_bit_exactly():
     rng = np.random.default_rng(19)
     for seq in ("AB", "ABAB", "ABABAB"):
         plan = compile_sequence(seq)
-        a, b = games_from_bias(-0.01, random_phases(rng))
+        coins = games_from_bias(-0.01, random_phases(rng))
         for _ in range(4):
             label = "".join(rng.choice(["0", "1"], size=plan.total_qubits))
-            out = run(plan, a, b, make_basis_state(plan.total_qubits, label))
+            out = run(plan, coins, make_basis_state(plan.total_qubits, label))
             for idx in np.nonzero(out.amplitudes)[0]:
                 assert format(idx, f"0{plan.total_qubits}b")[0] == label[0]
 
@@ -198,10 +198,10 @@ def test_alternating_ab_preserves_first_bit_exactly():
 def test_repeated_aab_factorizes_into_blocks(reps):
     # the 3n-qubit run equals the n-fold tensor power of the 3-qubit run
     plan3 = compile_sequence("AAB")
-    a, b = games_from_bias(0.0)
-    block = run(plan3, a, b, initial_state_for(plan3, "zero")).amplitudes
+    coins = games_from_bias(0.0)
+    block = run(plan3, coins, initial_state_for(plan3, "zero")).amplitudes
     plan = compile_sequence("AAB" * reps)
-    full = run(plan, a, b, initial_state_for(plan, "zero")).amplitudes
+    full = run(plan, coins, initial_state_for(plan, "zero")).amplitudes
     tensor = block
     for _ in range(reps - 1):
         tensor = np.kron(tensor, block)
@@ -211,9 +211,9 @@ def test_repeated_aab_factorizes_into_blocks(reps):
 def test_repeated_aab_factorizes_with_random_phases():
     rng = np.random.default_rng(29)
     phases = random_phases(rng)
-    a, b = games_from_bias(0.004, phases)
+    coins = games_from_bias(0.004, phases)
     plan3 = compile_sequence("AAB")
-    block = run(plan3, a, b, initial_state_for(plan3, "zero")).amplitudes
+    block = run(plan3, coins, initial_state_for(plan3, "zero")).amplitudes
     plan = compile_sequence("AABAAB")
-    full = run(plan, a, b, initial_state_for(plan, "zero")).amplitudes
+    full = run(plan, coins, initial_state_for(plan, "zero")).amplitudes
     assert np.allclose(full, np.kron(block, block), atol=ATOL)
