@@ -12,7 +12,6 @@ from .analytic import (
     aab_payoff_zero_state,
 )
 from .classical import (
-    ClassicalGameSpec,
     HistoryChain,
     build_history_chain,
     classical_sequence_expansion,
@@ -50,7 +49,6 @@ from .wiring import CircuitPlan, compile_sequence, initial_state_for, run
 
 __all__ = [
     "CircuitPlan",
-    "ClassicalGameSpec",
     "Evaluator",
     "HistoryChain",
     "MAX_QUBITS",

@@ -2,7 +2,9 @@
 
 Both forms give the TOTAL payoff over the 3 qubits of one AAB round; divide
 by 3 for the per-qubit figure.  ``theta`` is game A's amplitude angle and
-``phis`` the four branch angles of game B in history order.
+``phis`` the four branch angles of game B in history order; at bias eps they
+are the angles of the five lose probabilities ``coins.lose_probs(eps)``, the
+same that build the quantum coins.
 
 On the all-zero initial state the payoff is phase-independent:
 
@@ -28,24 +30,15 @@ from __future__ import annotations
 
 import math
 
-from .coins import (
-    GAME_A_LOSE,
-    GAME_B_LOSE,
-    PhaseAssignment,
-    bias_expansion,
-    check_bias,
-    lose_prob_to_theta,
-)
+from .coins import PhaseAssignment, bias_expansion, lose_prob_to_theta, lose_probs
 
 PI = math.pi
 
 
 def aab_angles_from_bias(e: float) -> tuple[float, tuple[float, float, float, float]]:
-    """(theta, four phis) realizing the standard probabilities at bias eps."""
-    eps = check_bias(e)
-    theta = lose_prob_to_theta(GAME_A_LOSE + eps)
-    phis = tuple(lose_prob_to_theta(p + eps) for p in GAME_B_LOSE)
-    return theta, phis
+    """(theta, four phis): ``lose_prob_to_theta`` of the five ``lose_probs(e)``."""
+    theta, *phis = (lose_prob_to_theta(p) for p in lose_probs(e))
+    return theta, tuple(phis)
 
 
 def aab_payoff_zero_state(theta: float, phis: tuple[float, float, float, float]) -> float:

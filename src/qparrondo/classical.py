@@ -2,15 +2,19 @@
 
 One model serves every analysis: a Markov chain, ``HistoryChain``, over the
 last two results, built by one private builder from the four per-history win
-probabilities of a game.  A finite sequence walks the chains of games A and B
-from a starting distribution over the seed results; stationary play solves
-the chain of one policy (pure A, pure B or a randomized A/B mixture); the
-bias thresholds are where a winning game turns losing.
+probabilities of a game.  Both games' chains read the five-entry array of
+lose probabilities that the quantum coins read, ``coins.lose_probs(eps)``.  A
+finite sequence walks the chains of games A and B from a starting
+distribution over the seed results; stationary play solves the chain of one
+policy (pure A, pure B or a randomized A/B mixture); the bias thresholds are
+where a winning game turns losing.
 
-Probabilities (lose side, at bias eps): game A loses with 1/2 + eps; game B
-picks a branch from the previous two results and loses with 1/10 + eps after
-(lost,lost), 3/4 + eps after (lost,won) or (won,lost), and 3/10 + eps after
-(won,won).
+Probabilities (lose side, at bias eps, the order of ``coins.BASE_LOSE``): game
+A loses with 1/2 + eps; game B picks a branch from the previous two results
+and loses with 1/10 + eps after (lost,lost), 3/4 + eps after (lost,won) or
+(won,lost), and 3/10 + eps after (won,won).  A game variant is an edited
+array: ``lose[1:] = lose[1]`` plays B's (lost,lost) branch whatever the
+history.
 
 Sequence payoffs follow the same conventions as the quantum engine: seed
 results are averaged (uniform by default), seed qubits contribute their
@@ -25,41 +29,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .coins import GAME_A_LOSE, GAME_B_LOSE, bias_expansion, check_bias
+from .coins import bias_expansion, lose_probs
 from .statevector import STRUCTURAL_TOL
 from .wiring import CircuitPlan, compile_sequence
-
-
-@dataclass(frozen=True)
-class ClassicalGameSpec:
-    """Win probabilities: one for game A, four for game B by history."""
-
-    a_win: float
-    b_win: tuple[float, float, float, float]
-
-    def __post_init__(self) -> None:
-        probs = (self.a_win, *self.b_win)
-        if len(self.b_win) != 4:
-            raise ValueError("b_win must have exactly four history branches")
-        if not all(0.0 < p < 1.0 for p in probs):
-            raise ValueError(f"all win probabilities must lie in (0, 1), got {probs}")
-        object.__setattr__(self, "b_win", tuple(float(p) for p in self.b_win))
-        object.__setattr__(self, "a_win", float(self.a_win))
-
-    @classmethod
-    def from_bias(cls, e: float) -> "ClassicalGameSpec":
-        eps = check_bias(e)
-        return cls(
-            a_win=1.0 - (GAME_A_LOSE + eps),
-            b_win=tuple(1.0 - (p + eps) for p in GAME_B_LOSE),
-        )
-
-    @classmethod
-    def single_branch(cls, e: float, branch: int) -> "ClassicalGameSpec":
-        """Variant where every B history is forced to one branch (0-based)."""
-        eps = check_bias(e)
-        w = 1.0 - (GAME_B_LOSE[branch] + eps)
-        return cls(a_win=1.0 - (GAME_A_LOSE + eps), b_win=(w, w, w, w))
 
 
 @dataclass(frozen=True)
@@ -88,9 +60,13 @@ class HistoryChain:
         object.__setattr__(self, "reward", r)
 
 
-def _game_wins(spec: ClassicalGameSpec) -> dict[str, np.ndarray]:
-    """Each game's win probability from each history, as a ``HistoryChain`` indexes them."""
-    return {"A": np.full(4, spec.a_win), "B": np.array(spec.b_win)}
+def _game_wins(lose: np.ndarray) -> dict[str, np.ndarray]:
+    """Each game's win probability from each history, as a ``HistoryChain``
+    indexes them, from five lose probabilities (the chain checks the entries)."""
+    lose = np.asarray(lose, dtype=float)
+    if lose.shape != (5,):
+        raise ValueError(f"lose must hold five probabilities, got shape {lose.shape}")
+    return {"A": np.full(4, 1.0 - lose[0]), "B": 1.0 - lose[1:]}
 
 
 def _chain(win: np.ndarray) -> HistoryChain:
@@ -105,7 +81,7 @@ def _chain(win: np.ndarray) -> HistoryChain:
 
 def build_history_chain(policy: str, e: float, q: float = 0.5) -> HistoryChain:
     """Chain of pure A, pure B, or the mixture playing A with probability q."""
-    win = _game_wins(ClassicalGameSpec.from_bias(e))
+    win = _game_wins(lose_probs(e))
     if policy == "mix":
         if not 0.0 <= q <= 1.0:
             raise ValueError(f"mixing weight q={q!r} outside [0, 1]")
@@ -161,13 +137,14 @@ def classical_sequence_total(
     seq: str,
     e: float = 0.0,
     seeds="uniform",
-    spec: ClassicalGameSpec | None = None,
+    lose: np.ndarray | None = None,
 ) -> tuple[float, CircuitPlan]:
-    """Expected total payoff (seed qubits included) of a sequence and its compiled plan."""
+    """Expected total payoff (seed qubits included) of a sequence and its compiled plan,
+    with five lose probabilities ``lose`` (default ``lose_probs(e)``; given, ``e`` is ignored)."""
     plan = compile_sequence(seq)
-    if spec is None:
-        spec = ClassicalGameSpec.from_bias(e)
-    chains = {token: _chain(win) for token, win in _game_wins(spec).items()}
+    if lose is None:
+        lose = lose_probs(e)
+    chains = {token: _chain(win) for token, win in _game_wins(lose).items()}
     total, dist = _seed_start(plan.seed_count, seeds)
     for token in plan.tokens:
         chain = chains[token]
@@ -180,10 +157,10 @@ def classical_sequence_payoff(
     seq: str,
     e: float = 0.0,
     seeds="uniform",
-    spec: ClassicalGameSpec | None = None,
+    lose: np.ndarray | None = None,
 ) -> float:
     """Expected payoff per qubit (total divided by the full qubit count)."""
-    total, plan = classical_sequence_total(seq, e, seeds, spec)
+    total, plan = classical_sequence_total(seq, e, seeds, lose)
     return total / plan.total_qubits
 
 
@@ -220,9 +197,8 @@ def monte_carlo_sequence_payoff(
     if trials < 2:
         raise ValueError(f"trials={trials!r} must be at least 2")
     plan = compile_sequence(seq)
-    spec = ClassicalGameSpec.from_bias(e)
     rng = np.random.default_rng(seed)
-    chains = {token: _chain(win) for token, win in _game_wins(spec).items()}
+    chains = {token: _chain(win) for token, win in _game_wins(lose_probs(e)).items()}
     hist = rng.integers(0, 4, size=trials)
     payoff = _PREVIOUS_PAYOFF[2 - plan.seed_count :].sum(axis=0)[hist]
     for token in plan.tokens:

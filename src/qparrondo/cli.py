@@ -3,7 +3,9 @@ and classical analysis, with JSON or CSV output.
 
 Exit codes: 0 on success, 2 for command-line usage errors, 3 when an input
 value fails validation (bad sequence alphabet, out-of-range bias, malformed
-phases file, non-finite or non-normalized custom state, ...).
+phases file, non-finite or non-normalized custom state, an ``--out`` path that
+cannot be written, ...).  Angles and amplitudes in the files must be JSON
+numbers; booleans and strings are rejected.
 
 Phase files are JSON documents of the form
 
@@ -72,9 +74,19 @@ def _emit(data, fmt: str, out: str | None, columns=None) -> None:
             )
         text = buf.getvalue()
     if out:
-        Path(out).write_text(text)
+        try:
+            Path(out).write_text(text)
+        except OSError as exc:
+            raise ValueError(f"--out: {exc}") from exc
     else:
         click.echo(text, nl=False)
+
+
+def _json_number(value) -> float:
+    """A JSON number (int or float, not bool) as a float; TypeError otherwise."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise TypeError(f"{value!r} is not a JSON number")
+    return float(value)
 
 
 def _load_phases(path: str | None) -> PhaseAssignment | None:
@@ -88,17 +100,19 @@ def _load_phases(path: str | None) -> PhaseAssignment | None:
         a = doc["A"]
         b = doc["B"]
         if len(b) != 4:
-            raise ValueError("phases file: field 'B' must list exactly 4 branches")
+            raise ValueError("field 'B' must list exactly 4 branches")
         return PhaseAssignment(
-            gamma=float(a["gamma"]),
-            delta=float(a["delta"]),
-            alphas=tuple(float(entry["alpha"]) for entry in b),
-            betas=tuple(float(entry["beta"]) for entry in b),
+            gamma=_json_number(a["gamma"]),
+            delta=_json_number(a["delta"]),
+            alphas=tuple(_json_number(entry["alpha"]) for entry in b),
+            betas=tuple(_json_number(entry["beta"]) for entry in b),
         )
     except KeyError as exc:
         raise ValueError(f"phases file: missing field {exc.args[0]!r}") from exc
-    except TypeError as exc:
+    except (TypeError, OverflowError) as exc:
         raise ValueError(f"phases file: malformed document ({exc})") from exc
+    except ValueError as exc:
+        raise ValueError(f"phases file: {exc}") from exc
 
 
 def _load_init(init: str):
@@ -110,8 +124,8 @@ def _load_init(init: str):
     except (OSError, json.JSONDecodeError) as exc:
         raise ValueError(f"init file: {exc}") from exc
     try:
-        amps = np.array([complex(re, im) for re, im in doc])
-    except (TypeError, ValueError) as exc:
+        amps = np.array([complex(_json_number(re), _json_number(im)) for re, im in doc])
+    except (TypeError, ValueError, OverflowError) as exc:
         raise ValueError(f"init file: expected an array of [re, im] pairs ({exc})") from exc
     return amps
 

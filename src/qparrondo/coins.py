@@ -19,6 +19,11 @@ so (lost,lost), (lost,won), (won,lost), (won,won) in turn.  That is the index
 the gate kernel and the classical ``HistoryChain`` read.  Every backend takes
 this array and checks it once with ``statevector.check_coins``.
 
+Both games are fixed by five lose probabilities in that order, ``BASE_LOSE``
+= (1/2, 1/10, 3/4, 3/4, 3/10) raised by the bias eps.  ``lose_probs(eps)`` is
+the one place that adds eps and checks its range; the coins, the classical
+chains and the closed forms of ``analytic`` all read its array.
+
 Caveat, stated loudly because it is easy to trip over: acting on a target
 already in |1>, the coin *wins* (stays |1>) with probability cos(theta)^2 --
 the column structure of the unitary, not a replay of the classical coin.
@@ -35,10 +40,10 @@ import numpy as np
 
 TWO_PI = 2.0 * math.pi
 
-# Lose probabilities at zero bias: game A, then the four B branches in
-# history order (lost,lost), (lost,won), (won,lost), (won,won).
-GAME_A_LOSE = 0.5
-GAME_B_LOSE = (0.1, 0.75, 0.75, 0.3)
+# Lose probabilities at zero bias, indexed like the five coins: game A, then
+# game B's four branches in history order (lost,lost), (lost,won),
+# (won,lost), (won,won).
+BASE_LOSE = (0.5, 0.1, 0.75, 0.75, 0.3)
 
 # Derived probabilities stay strictly inside (0,1) only for |eps| below this
 # (the tightest branch has lose probability 0.1 + eps).
@@ -56,17 +61,17 @@ def bias_expansion(value: Callable[[float], float]) -> tuple[float, float]:
     return c0, c1
 
 
-def check_bias(eps: float) -> float:
-    """``eps`` as a float; raises ValueError unless it is finite with |eps| < MAX_EPS."""
+def lose_probs(eps: float) -> np.ndarray:
+    """``BASE_LOSE + eps``; raises ValueError unless eps is finite with |eps| < MAX_EPS."""
     e = float(eps)
     if not math.isfinite(e) or abs(e) >= MAX_EPS:
         raise ValueError(f"bias eps={e!r} must satisfy |eps| < {MAX_EPS}")
-    return e
+    return np.array(BASE_LOSE) + e
 
 
 def _check_finite_angle(name: str, value: float) -> None:
     if not math.isfinite(value):
-        raise ValueError(f"phase angle {name}={value!r} must be finite")
+        raise ValueError(f"angle {name}={value!r} must be finite")
 
 
 @dataclass(frozen=True)
@@ -103,7 +108,10 @@ def reduce_angle(x: float) -> float:
 
 
 def su2_matrix(theta: float, gamma: float = 0.0, delta: float = 0.0) -> np.ndarray:
-    """The 2x2 SU(2) matrix A(theta, gamma, delta)."""
+    """The 2x2 SU(2) matrix A(theta, gamma, delta); ValueError names a non-finite angle."""
+    if not math.isfinite(theta + gamma + delta):
+        for name, value in (("theta", theta), ("gamma", gamma), ("delta", delta)):
+            _check_finite_angle(name, value)
     c = math.cos(theta)
     s = math.sin(theta)
     gp = (gamma + delta) / 2.0
@@ -127,19 +135,20 @@ def lose_prob_to_theta(p_lose: float) -> float:
 def games_from_bias(eps: float, phases: PhaseAssignment | None = None) -> np.ndarray:
     """The five coins at bias ``eps`` as one (5, 2, 2) array.
 
-    Coin 0 is game A's: lose probability 1/2 + eps, phases (gamma, delta).
-    Coins 1-4 are game B's, indexed 1 + ((older << 1) | newer) by the history
-    they follow: lose probabilities (0.1, 0.75, 0.75, 0.3) + eps, phases
+    Coin k tosses with lose probability ``lose_probs(eps)[k]``.  Coin 0 is
+    game A's, with phases (gamma, delta).  Coins 1-4 are game B's, indexed
+    1 + ((older << 1) | newer) by the history they follow, with phases
     (alphas[k], betas[k]).  Phases default to zero and are reduced mod 2*pi.
     """
-    eps = check_bias(eps)
+    # Python floats: numpy scalars would slow the per-coin math below.
+    lose = lose_probs(eps).tolist()
     if phases is None:
         phases = PhaseAssignment()
     return np.array(
         [
-            su2_matrix(lose_prob_to_theta(p + eps), reduce_angle(g), reduce_angle(d))
+            su2_matrix(lose_prob_to_theta(p), reduce_angle(g), reduce_angle(d))
             for p, g, d in zip(
-                (GAME_A_LOSE, *GAME_B_LOSE),
+                lose,
                 (phases.gamma, *phases.alphas),
                 (phases.delta, *phases.betas),
             )

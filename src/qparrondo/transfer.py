@@ -42,7 +42,7 @@ def transfer_total(plan: CircuitPlan, coins: np.ndarray, kind: str) -> float:
     carried norm to be 1 within STRUCTURAL_TOL, the bound a StateVector
     enforces; raises ValueError otherwise.
     """
-    if kind not in NAMED_STATES:
+    if not isinstance(kind, str) or kind not in NAMED_STATES:
         raise ValueError(
             f"no transfer-matrix walk for initial state {kind!r}; use {tuple(NAMED_STATES)}"
         )

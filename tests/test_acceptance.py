@@ -15,7 +15,6 @@ from qparrondo.analytic import (
     aab_payoff_zero_state,
 )
 from qparrondo.classical import (
-    ClassicalGameSpec,
     classical_sequence_expansion,
     classical_sequence_payoff,
     classical_sequence_total,
@@ -23,7 +22,7 @@ from qparrondo.classical import (
     sequence_threshold,
     stationary_payoff,
 )
-from qparrondo.coins import PhaseAssignment, games_from_bias, su2_matrix
+from qparrondo.coins import PhaseAssignment, games_from_bias, lose_probs, su2_matrix
 from qparrondo.optimize import optimize_phases
 from qparrondo.payoff import (
     payoff_epsilon_expansion,
@@ -173,7 +172,10 @@ def test_criterion_4_single_branch_interference():
             coins[1:] = coins[1]
             value = payoff_expectation(run(plan, coins, ghz))
             _check(failures, abs(value) < 1e-10, f"quantum single-branch payoff {value} at eps={eps}")
-        total, _ = classical_sequence_total("AAB", eps, spec=ClassicalGameSpec.single_branch(eps, 0))
+        # The classical game does the same to its lose probabilities.
+        lose = lose_probs(eps)
+        lose[1:] = lose[1]
+        total, _ = classical_sequence_total("AAB", lose=lose)
         _check(failures, abs(total - (4 / 5 - 6 * eps)) < 1e-9, f"classical single-branch total {total}")
     # interference makes the full game beat its best branch played alone
     _check(failures, 3 * MAX_PER_QUBIT > 4 / 5, "quantum maximum does not exceed 4/5")

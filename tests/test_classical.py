@@ -6,7 +6,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qparrondo.classical import (
-    ClassicalGameSpec,
     HistoryChain,
     build_history_chain,
     classical_sequence_expansion,
@@ -18,6 +17,7 @@ from qparrondo.classical import (
     stationary_distribution,
     stationary_payoff,
 )
+from qparrondo.coins import lose_probs
 from qparrondo.wiring import compile_sequence
 
 ATOL = 1e-12
@@ -109,8 +109,9 @@ def test_aab_row():
 
 def test_aab_with_forced_best_branch():
     for eps in (0.0, 0.004):
-        spec = ClassicalGameSpec.single_branch(eps, 0)
-        total, _ = classical_sequence_total("AAB", eps, spec=spec)
+        lose = lose_probs(eps)
+        lose[1:] = lose[1]
+        total, _ = classical_sequence_total("AAB", lose=lose)
         assert abs(total - (0.8 - 6 * eps)) < E2E
 
 
@@ -130,11 +131,22 @@ def test_expansion_divisor_override_reproduces_published_rows():
     assert abs(c1 + 2.5) < 5e-2
 
 
+def test_lose_array_accepts_certain_outcomes():
+    # The endpoints are probabilities, as lose_prob_to_theta accepts them.
+    lose = np.array([0.0, 1.0, 1.0, 1.0, 1.0])
+    total, _ = classical_sequence_total("AB", seeds=(0, 0), lose=lose)
+    assert total == -1.0  # the seed lost, A won, B lost
+
+
 def test_spec_validation():
-    with pytest.raises(ValueError):
-        ClassicalGameSpec(a_win=0.5, b_win=(0.9, 0.25, 0.25))
-    with pytest.raises(ValueError):
-        ClassicalGameSpec(a_win=1.2, b_win=(0.9, 0.25, 0.25, 0.7))
+    # A game is its five lose probabilities: any other shape, or an entry
+    # that is not a probability, is rejected (entries by HistoryChain).
+    bad_entries = [
+        np.where(np.arange(5) == k, bad, 0.5) for k in (0, 3) for bad in (-0.2, 1.2, np.nan)
+    ]
+    for lose in [np.full(4, 0.5), np.full(6, 0.5), np.full((5, 2), 0.5), *bad_entries]:
+        with pytest.raises(ValueError):
+            classical_sequence_total("AAB", lose=lose)
     with pytest.raises(ValueError):
         classical_sequence_total("AAB", 0.0, seeds=(0, 2))
     with pytest.raises(ValueError):

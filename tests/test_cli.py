@@ -173,6 +173,54 @@ def test_payoff_rejects_nan_phase_with_exit_3(runner, tmp_path):
     assert "gamma" in error_text(result)
 
 
+PHASES_DOC = (
+    '{"A": {"gamma": %s, "delta": 0.0}, "B": ['
+    + ", ".join(['{"alpha": 0.0, "beta": 0.0}'] * 4)
+    + "]}"
+)
+# "AB" runs on 3 qubits: 8 amplitudes, the first one given as %s.
+STATE_DOC = "[[%s, 0.0], " + ", ".join(["[0.0, 0.0]"] * 6) + ", [1.0, 0.0]]"
+
+
+@pytest.mark.parametrize(
+    "value",
+    ["true", "false", '"abc"', '"1.0"', "null", "[1.0]", "{}",
+     # An integer too large for a float is a JSON number that cannot be read.
+     pytest.param("1" + "0" * 400, id="1e400")],
+)
+@pytest.mark.parametrize(
+    "option, doc, prefix",
+    [("--phases", PHASES_DOC, "phases file:"), ("--init", STATE_DOC, "init file:")],
+    ids=["phases", "init"],
+)
+def test_file_values_must_be_json_numbers(runner, tmp_path, option, doc, prefix, value):
+    path = tmp_path / "input.json"
+    path.write_text(doc % value)
+    result = runner.invoke(main, ["payoff", "--sequence", "AB", option, str(path)])
+    assert result.exit_code == 3
+    assert result.stdout == ""
+    assert error_text(result).startswith(f"error: {prefix}")
+
+
+@pytest.mark.parametrize("value", ["1", "0.0"])
+def test_file_values_accept_json_ints_and_floats(runner, tmp_path, value):
+    phases = tmp_path / "phases.json"
+    phases.write_text(PHASES_DOC % value)
+    state = tmp_path / "state.json"
+    state.write_text(STATE_DOC % "0")
+    args = ["payoff", "--sequence", "AB", "--phases", str(phases), "--init", str(state)]
+    parse_json(invoke(runner, *args))
+
+
+def test_unwritable_out_is_an_input_error(runner, tmp_path):
+    out = tmp_path / "missing" / "t.csv"
+    result = runner.invoke(main, ["table1", "--format", "csv", "--out", str(out)])
+    assert result.exit_code == 3
+    assert error_text(result).startswith("error: --out:")
+    assert "Traceback" not in result.output
+    assert not out.parent.exists()
+
+
 def test_payoff_of_a_sequence_past_the_dense_cap(runner):
     sequence = "AABBA" * 6  # 30 tokens and 30 qubits: the first B has two A's before it
     out = parse_json(invoke(runner, "payoff", "--sequence", sequence, "--init", "ghz"))

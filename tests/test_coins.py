@@ -4,12 +4,14 @@ import re
 import numpy as np
 import pytest
 
+from qparrondo.analytic import aab_angles_from_bias
+from qparrondo.classical import build_history_chain
 from qparrondo.coins import (
-    GAME_B_LOSE,
+    BASE_LOSE,
     PhaseAssignment,
-    check_bias,
     games_from_bias,
     lose_prob_to_theta,
+    lose_probs,
     reduce_angle,
     su2_matrix,
 )
@@ -19,6 +21,17 @@ SQ2 = math.sqrt(2) / 2
 
 
 # --- su2_matrix ---
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("slot, name", [(0, "theta"), (1, "gamma"), (2, "delta")])
+def test_su2_matrix_rejects_non_finite_angles(slot, name, value):
+    angles = [0.3, 0.2, 0.1]
+    angles[slot] = value
+    # The suite turns warnings into errors, so numpy's RuntimeWarning from an
+    # infinite phase would fail this test too.
+    with pytest.raises(ValueError, match=f"{name}={value!r} must be finite"):
+        su2_matrix(*angles)
+
 
 def test_zero_angles_give_identity():
     assert np.allclose(su2_matrix(0.0, 0.0, 0.0), np.eye(2), atol=ATOL)
@@ -111,7 +124,7 @@ def test_game_b_unbiased_angles():
     thetas = (1.2490457723982544, math.pi / 6, math.pi / 6, 0.9911565864311924)
     for coin, theta in zip(b, thetas):
         assert np.allclose(coin, su2_matrix(theta), atol=1e-9)
-    assert np.allclose(lose_probabilities(b), GAME_B_LOSE, atol=ATOL)
+    assert np.allclose(lose_probabilities(b), BASE_LOSE[1:], atol=ATOL)
 
 
 def test_game_b_unbiased_win_probabilities():
@@ -122,7 +135,7 @@ def test_game_b_unbiased_win_probabilities():
 def test_game_b_bias_shifts_all_lose_probs_exactly():
     eps = 1 / 168
     loses = lose_probabilities(games_from_bias(eps)[1:])
-    assert np.allclose(loses, [p + eps for p in GAME_B_LOSE], atol=ATOL)
+    assert np.allclose(loses, [p + eps for p in BASE_LOSE[1:]], atol=ATOL)
 
 
 @pytest.mark.parametrize("eps", [-0.05, 0.0, 1 / 168, 1 / 112, 0.05])
@@ -134,10 +147,10 @@ def test_probability_round_trip(eps):
 def test_bias_range_enforced():
     for eps in (0.1, -0.25, math.nan):
         with pytest.raises(ValueError, match=r"bias eps=.* must satisfy \|eps\| < 0\.1"):
-            check_bias(eps)
+            lose_probs(eps)
         with pytest.raises(ValueError, match=r"bias eps=.* must satisfy"):
             games_from_bias(eps)
-    assert check_bias(0.0999) == 0.0999
+    assert np.array_equal(lose_probs(0.0999), np.array(BASE_LOSE) + 0.0999)
     assert games_from_bias(0.0999).shape == (5, 2, 2)
 
 
@@ -150,12 +163,26 @@ def test_games_from_bias_builds_both_operators():
     eps = 0.004
     coins = games_from_bias(eps, phases)
     assert coins.shape == (5, 2, 2)
-    loses = (0.5, *GAME_B_LOSE)
     gammas = (phases.gamma, *phases.alphas)
     deltas = (phases.delta, *phases.betas)
-    for coin, p, g, d in zip(coins, loses, gammas, deltas):
+    for coin, p, g, d in zip(coins, BASE_LOSE, gammas, deltas):
         theta = lose_prob_to_theta(p + eps)
         assert np.array_equal(coin, su2_matrix(theta, reduce_angle(g), reduce_angle(d)))
+
+
+@pytest.mark.parametrize("eps", [-0.099, -0.05, 0.0, 1 / 168, 1 / 112, 0.05, 0.0999])
+def test_one_lose_table_behind_coins_chains_and_closed_forms(eps):
+    lose = lose_probs(eps)
+    assert lose.shape == (5,)
+    coins = games_from_bias(eps, PhaseAssignment(gamma=0.3, delta=1.1, betas=(1, 2, 3, 4)))
+    # Game A's chain has one reward per history, all alike; game B's four
+    # follow the coin order.
+    a, b = (build_history_chain(policy, eps) for policy in "AB")
+    rewards = np.concatenate([a.reward[:1], b.reward])
+    assert np.allclose(np.abs(coins[:, 0, 0]) ** 2, lose, rtol=0, atol=ATOL)
+    assert np.allclose(1 - (1 + rewards) / 2, lose, rtol=0, atol=ATOL)
+    theta, phis = aab_angles_from_bias(eps)
+    assert (theta, *phis) == tuple(lose_prob_to_theta(p) for p in lose)
 
 
 def test_phase_assignment_validates_lengths():

@@ -124,6 +124,10 @@ def test_unknown_kind_is_rejected():
     coins = games_from_bias(0.0)
     with pytest.raises(ValueError, match="uniform"):
         transfer_total(compile_sequence("AB"), coins, "uniform")
+    # A non-string kind gets the same message, not an unhashable-type error.
+    for kind in (np.array([1.0, 0.0]), ["ghz"]):
+        with pytest.raises(ValueError, match=r"use \('zero', 'ghz'\)"):
+            transfer_total(compile_sequence("AB"), coins, kind)
     with pytest.raises(ValueError, match="unknown initial-state kind"):
         sequence_payoff("AB", init="uniform")
 
