@@ -51,10 +51,15 @@ class HistoryChain:
         r = np.asarray(self.reward, dtype=float)
         if t.shape != (4, 4) or r.shape != (4,):
             raise ValueError("HistoryChain needs a 4x4 transition matrix and 4 rewards")
-        if not np.all(np.abs(t.sum(axis=1) - 1.0) <= STRUCTURAL_TOL):
+        # Twenty scalars: Python floats check them faster than numpy
+        # reductions would.  Each bound is written so that a NaN fails it.
+        rows, rewards = t.tolist(), r.tolist()
+        if not all(abs(sum(row) - 1.0) <= STRUCTURAL_TOL for row in rows):
             raise ValueError("transition rows must each sum to 1")
-        # Each bound is written so that a NaN fails it.
-        if not (np.all(t >= -STRUCTURAL_TOL) and np.all(np.abs(r) <= 1.0 + STRUCTURAL_TOL)):
+        if not (
+            all(p >= -STRUCTURAL_TOL for row in rows for p in row)
+            and all(abs(x) <= 1.0 + STRUCTURAL_TOL for x in rewards)
+        ):
             raise ValueError("transition entries must be probabilities and rewards in [-1, 1]")
         object.__setattr__(self, "transition", t)
         object.__setattr__(self, "reward", r)
@@ -69,14 +74,19 @@ def _game_wins(lose: np.ndarray) -> dict[str, np.ndarray]:
     return {"A": np.full(4, 1.0 - lose[0]), "B": 1.0 - lose[1:]}
 
 
+# History (a, b) moves to (b, won) or to (b, lost): the flat indices, in a
+# 4x4 transition matrix, of the entries a game's win and lose probabilities fill.
+_HISTORY = np.arange(4)
+_WON_ENTRY = 4 * _HISTORY + ((_HISTORY & 1) << 1) + 1
+_LOST_ENTRY = _WON_ENTRY - 1
+
+
 def _chain(win: np.ndarray) -> HistoryChain:
     """Chain of a game that wins with ``win[i]`` from history i: (a, b) moves to (b, result)."""
-    rows = np.arange(4)
-    newer = (rows & 1) << 1
-    t = np.zeros((4, 4))
-    t[rows, newer | 1] = win
-    t[rows, newer] = 1.0 - win
-    return HistoryChain(t, 2.0 * win - 1.0)
+    t = np.zeros(16)
+    t[_WON_ENTRY] = win
+    t[_LOST_ENTRY] = 1.0 - win
+    return HistoryChain(t.reshape(4, 4), 2.0 * win - 1.0)
 
 
 def build_history_chain(policy: str, e: float, q: float = 0.5) -> HistoryChain:

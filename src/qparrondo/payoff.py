@@ -31,23 +31,49 @@ from .transfer import transfer_total
 from .wiring import compile_sequence, initial_state_for, run
 
 
-def payoff_expectation(state: StateVector) -> float:
-    """Expected payoff sum((2*popcount(label) - n) * |amp|^2); lies in [-n, n].
+# Amplitudes per chunk of the payoff reduction: its three working arrays
+# (256 KiB apiece) are all it allocates, whatever the state's size.
+_CHUNK = 1 << 15
 
-    Computed from the per-qubit marginals as sum_q (P(q reads 1) - P(q reads 0))
-    by successive halving: splitting the probabilities in two separates qubit 1
-    (the most significant bit), and summing the halves marginalizes it out,
-    leaving the same problem on the remaining qubits.  O(2**n) in total.
+
+def _marginal_sum(m: np.ndarray) -> float:
+    """sum_q (P(q reads 1) - P(q reads 0)) of the probabilities ``m`` over
+    log2(len(m)) qubits, by successive halving: splitting the probabilities in
+    two separates the most significant qubit, and summing the halves
+    marginalizes it out, leaving the same problem on the remaining qubits.
     Each difference is summed directly rather than formed as 2 P(1) - |psi|^2,
     which would cancel to a few ulps of |psi|^2 on a near-zero payoff.
     """
-    m = np.abs(state.amplitudes) ** 2
-    biases = np.empty(state.num_qubits)
-    for k in range(state.num_qubits):
+    biases = np.empty(m.size.bit_length() - 1)
+    for k in range(biases.size):
         m = m.reshape(2, -1)
         biases[k] = (m[1] - m[0]).sum()
         m = m[0] + m[1]
     return float(biases.sum())
+
+
+def payoff_expectation(state: StateVector) -> float:
+    """Expected payoff sum((2*popcount(label) - n) * |amp|^2); lies in [-n, n].
+
+    Computed from the per-qubit marginals, sum_q (P(q reads 1) - P(q reads 0)),
+    chunk by chunk in O(2**n) and without a state-sized temporary.  A chunk's
+    index holds the top qubits and the offset in it the low ones, so the
+    probabilities of each chunk are added into ``low`` (the marginal of the low
+    qubits) and their total stored in ``high`` (the marginal of the top ones);
+    the payoff, linear in the probabilities, is the successive-halving sum of
+    each.  A state of at most _CHUNK amplitudes is one chunk, reduced exactly
+    as a whole.
+    """
+    amps = state.amplitudes.reshape(-1, min(state.amplitudes.size, _CHUNK))
+    prob = np.empty(amps.shape[1])
+    low = np.zeros(amps.shape[1])
+    high = np.empty(amps.shape[0])
+    for j, chunk in enumerate(amps):
+        np.abs(chunk, out=prob)
+        prob *= prob
+        low += prob
+        high[j] = prob.sum()
+    return _marginal_sum(high) + _marginal_sum(low)
 
 
 def per_qubit(total: float, num_qubits: int) -> float:

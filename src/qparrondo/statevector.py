@@ -6,10 +6,13 @@ qubits the label "110" is basis index 6.  This makes a state written
 |q1 q2 q3> read left to right in both math and code.
 
 States are immutable at the API: a StateVector holds read-only amplitudes,
-validated (shape, finiteness, unit norm) when it is built and copied unless
-the array given is already read-only and owns its memory.  Every game is one
-gate, :func:`apply_gate`: a 2x2 unitary on a fresh target qubit, picked for
-game B by the window of two qubits just before the target (the wiring rule of
+copied unless the array given is already read-only and owns its memory, and
+validated (shape, finiteness, unit norm) when it is built, the copy rather than
+the caller's array.  The norm check is one dot-product pass that allocates
+nothing, so adopting an array costs no state-sized memory; the named and basis
+states are built read-only and adopted that way.  Every game is one gate,
+:func:`apply_gate`: a 2x2 unitary on a fresh target qubit, picked for game B
+by the window of two qubits just before the target (the wiring rule of
 ``wiring``).  It runs in place on a private, writable buffer, reshaped so
 that the window and the target get their own axes, and each 2x2 update runs
 on basic-index views of it.  ``wiring.run`` copies the initial state into one
@@ -62,17 +65,22 @@ class StateVector:
             raise ValueError(
                 f"amplitude array has shape {amps.shape}, expected ({1 << n},) for {n} qubits"
             )
-        norm_sq = float(np.sum(np.abs(amps) ** 2))
+        # A read-only array that owns its memory cannot change under us; any
+        # other is copied first, so the copy is what gets checked and kept.
+        if amps.flags.writeable or not amps.flags.owndata:
+            amps = amps.copy()
+            amps.setflags(write=False)
+        # One pass, no temporaries: the dot product of the interleaved real
+        # and imaginary parts with themselves, a sum of squares that cannot
+        # cancel.  (A complex vdot would turn an infinite amplitude into NaN.)
+        parts = amps.view(np.float64)
+        norm_sq = float(np.dot(parts, parts))
         # A NaN or infinite amplitude makes the norm non-finite, and a NaN
         # norm would slip through the tolerance comparison below.
         if not np.isfinite(norm_sq):
             raise ValueError(f"state has non-finite amplitudes: |psi|^2 = {norm_sq!r}")
         if abs(norm_sq - 1.0) > STRUCTURAL_TOL:
             raise ValueError(f"state is not normalized: |psi|^2 = {norm_sq!r}")
-        # A read-only array that owns its memory cannot change under us.
-        if amps.flags.writeable or not amps.flags.owndata:
-            amps = amps.copy()
-            amps.setflags(write=False)
         object.__setattr__(self, "amplitudes", amps)
         object.__setattr__(self, "num_qubits", int(n))
 
@@ -126,6 +134,7 @@ def make_basis_state(num_qubits: int, label: str) -> StateVector:
         raise ValueError(f"label {label!r} must contain only '0' and '1'")
     amps = np.zeros(1 << num_qubits, dtype=complex)
     amps[int(label, 2)] = 1.0
+    amps.setflags(write=False)  # adopted by the StateVector without a copy
     return StateVector(num_qubits, amps)
 
 
@@ -139,6 +148,7 @@ def make_named_state(num_qubits: int, name: str) -> StateVector:
     weights = NAMED_STATES[name]
     amps = np.zeros(1 << num_qubits, dtype=complex)
     amps[[0, -1][: len(weights)]] = weights
+    amps.setflags(write=False)  # adopted by the StateVector without a copy
     return StateVector(num_qubits, amps)
 
 

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from itertools import combinations
 
 import numpy as np
@@ -85,6 +86,40 @@ def test_marginal_payoff_matches_popcount_formula(n):
     for _ in range(3):
         s = random_state(n, rng)
         assert abs(payoff_expectation(s) - popcount_payoff(s)) < ATOL
+
+
+def full_array_halving(state: StateVector) -> float:
+    """Reference: successive halving over the whole probability array at once."""
+    m = np.abs(state.amplitudes) ** 2
+    biases = np.empty(state.num_qubits)
+    for k in range(state.num_qubits):
+        m = m.reshape(2, -1)
+        biases[k] = (m[1] - m[0]).sum()
+        m = m[0] + m[1]
+    return float(biases.sum())
+
+
+@pytest.mark.parametrize("n", range(1, 18))
+def test_chunked_payoff_matches_full_array_halving(n):
+    # 2**15 amplitudes a chunk: states smaller than, equal to and larger than one
+    rng = np.random.default_rng(700 + n)
+    for _ in range(2):
+        s = random_state(n, rng)
+        want = full_array_halving(s)
+        assert abs(payoff_expectation(s) - want) < 1e-13
+        if n <= 15:  # one chunk is reduced exactly as the whole array was
+            assert payoff_expectation(s) == want
+
+
+def test_payoff_allocates_no_state_sized_memory():
+    s = random_state(20, np.random.default_rng(720))
+    tracemalloc.start()
+    try:
+        payoff_expectation(s)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 0.1 * s.amplitudes.nbytes
 
 
 def test_global_phase_invariance():

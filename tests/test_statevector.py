@@ -1,7 +1,14 @@
 import math
+import os
+import subprocess
+import sys
+import tracemalloc
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import qparrondo
 from qparrondo import statevector
 from qparrondo.coins import PhaseAssignment, games_from_bias, su2_matrix
 from qparrondo.statevector import (
@@ -13,6 +20,7 @@ from qparrondo.statevector import (
     check_unitary2,
     make_basis_state,
     make_ghz,
+    make_named_state,
 )
 from qparrondo.wiring import compile_sequence, initial_state_for, run
 
@@ -161,6 +169,56 @@ def test_read_only_view_of_a_writable_array_is_copied():
     assert not np.shares_memory(s.amplitudes, amps)
     amps[0], amps[1] = 0.0, 1.0
     assert s.amplitudes[0] == 1.0
+
+
+# The norm check's rejections: (amplitude 1 set to, message).  A norm off by
+# 2e-12 is printed as the value |psi|^2 = 1 +/- 2e-12 carries.
+NORM_REJECTIONS = [
+    (np.nan, "state has non-finite amplitudes: |psi|^2 = nan"),
+    (np.inf, "state has non-finite amplitudes: |psi|^2 = inf"),
+    (-np.inf, "state has non-finite amplitudes: |psi|^2 = inf"),
+    ("+2e-12", "state is not normalized: |psi|^2 = "),
+    ("-2e-12", "state is not normalized: |psi|^2 = "),
+]
+
+
+def norm_rejection(bad) -> str:
+    """The message StateVector raises for a 2-qubit state spoiled by ``bad``."""
+    amps = np.array([1.0, 0.0, 0.0, 0.0], dtype=complex)
+    if isinstance(bad, str):
+        amps[0] = math.sqrt(1.0 + float(bad))
+    else:
+        amps[1] = bad
+    try:
+        StateVector(2, amps)
+    except ValueError as exc:
+        return str(exc)
+    return "accepted"
+
+
+@pytest.mark.parametrize("bad, message", NORM_REJECTIONS)
+def test_norm_check_rejections_keep_their_messages(bad, message):
+    got = norm_rejection(bad)
+    assert got.startswith(message)
+    if isinstance(bad, str):
+        assert float(got[len(message):]) == pytest.approx(1.0 + float(bad), abs=1e-15)
+    else:
+        assert got == message
+
+
+def test_norm_check_rejections_hold_under_python_O():
+    # -O strips assert statements; the norm check must not depend on them
+    src = str(Path(qparrondo.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    code = (
+        f"import sys; sys.path.insert(0, {str(Path(__file__).parent)!r})\n"
+        "from test_statevector import NORM_REJECTIONS, norm_rejection\n"
+        "for bad, _ in NORM_REJECTIONS: print(norm_rejection(bad))\n"
+    )
+    out = subprocess.run([sys.executable, "-O", "-c", code], capture_output=True, text=True,
+                         env=env, timeout=120)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.splitlines() == [norm_rejection(bad) for bad, _ in NORM_REJECTIONS]
 
 
 # --- single-qubit gate ---
@@ -515,3 +573,54 @@ def test_run_returns_read_only_amplitudes_and_leaves_init_untouched():
     assert not out.amplitudes.flags.writeable
     assert not np.shares_memory(out.amplitudes, init.amplitudes)
     assert np.array_equal(init.amplitudes, before)
+
+
+# --- memory: no state-sized temporaries (tracemalloc sees numpy's buffers) ---
+
+MEMORY_QUBITS = 20
+
+
+def traced_peak(f) -> int:
+    """Peak bytes traced while ``f()`` runs, its result included."""
+    tracemalloc.start()
+    try:
+        f()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def read_only_state_amplitudes(n, rng):
+    amps = random_state(n, rng).amplitudes
+    assert not amps.flags.writeable and amps.flags.owndata
+    return amps
+
+
+def test_adopting_a_read_only_array_allocates_no_state_sized_memory():
+    amps = read_only_state_amplitudes(MEMORY_QUBITS, np.random.default_rng(601))
+    peak = traced_peak(lambda: StateVector(MEMORY_QUBITS, amps))
+    assert peak < 0.1 * amps.nbytes
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda n: make_named_state(n, "zero"),
+        lambda n: make_named_state(n, "ghz"),
+        lambda n: make_basis_state(n, "01" * (n // 2)),
+    ],
+    ids=["zero", "ghz", "basis"],
+)
+def test_named_and_basis_states_allocate_their_amplitudes_once(build):
+    peak = traced_peak(lambda: build(MEMORY_QUBITS))
+    assert peak <= 1.05 * (16 << MEMORY_QUBITS)
+
+
+def test_run_allocates_one_work_buffer():
+    plan = compile_sequence("AAB" * 6 + "AA")
+    assert plan.total_qubits == MEMORY_QUBITS
+    init = initial_state_for(plan, read_only_state_amplitudes(MEMORY_QUBITS, np.random.default_rng(602)))
+    coins = games_from_bias(0.01)
+    peak = traced_peak(lambda: run(plan, coins, init))
+    assert peak < 1.25 * init.amplitudes.nbytes
+
