@@ -10,16 +10,23 @@ copied unless the array given is already read-only and owns its memory, and
 validated (shape, finiteness, unit norm) when it is built, the copy rather than
 the caller's array.  The norm check is one dot-product pass that allocates
 nothing, so adopting an array costs no state-sized memory; the named and basis
-states are built read-only and adopted that way.  Every game is one gate,
-:func:`apply_gate`: a 2x2 unitary on a fresh target qubit, picked for game B
-by the window of two qubits just before the target (the wiring rule of
-``wiring``).  It runs in place on a private, writable buffer, reshaped so
-that the window and the target get their own axes, and each 2x2 update runs
-on basic-index views of it.  ``wiring.run`` copies the initial state into one
-such buffer, validates the five coins once with :func:`check_coins`, runs
-every game on it and hands the buffer, made read-only, to the result; the
-kernel checks only the target's range and the coin count and trusts its
-caller for the rest.
+states are built read-only and adopted that way.
+
+Two in-place kernels update a private, writable buffer.
+:func:`apply_multiplexed` applies a stack of matrices to consecutive qubits,
+one matrix for each value of the control qubits just before them, as a few
+BLAS matrix products over blocks of about _CHUNK amplitudes, each written to
+one reused block-sized array and copied back, so a large state passes through
+memory once per call.  :func:`apply_gate` is one game: a 2x2 unitary on a
+fresh target qubit, picked for game B by the two qubits just before the
+target (the wiring rule of ``wiring``).  ``wiring.run`` builds each window of
+consecutive games by running apply_gate on a window-sized register of
+identity columns, then applies that window to the state with
+apply_multiplexed.  It copies the initial state into one buffer, validates
+the five coins once with :func:`check_coins`, and hands the buffer, made
+read-only, to the result.  apply_gate checks only the target's range and
+the coin count, apply_multiplexed nothing: both trust their caller for the
+rest.
 
 The named initial states live in one table, NAMED_STATES, which the dense
 states here, the transfer walk, the evaluator and the CLI all read.
@@ -157,40 +164,50 @@ def make_ghz(num_qubits: int) -> StateVector:
     return make_named_state(num_qubits, "ghz")
 
 
-# Amplitudes per operand in one update step.  The step's operands and
-# temporaries (64 KiB apiece) stay in cache, so a large state passes through
-# memory about once per gate rather than once per arithmetic pass.
-_BLOCK = 4096
-# Views whose contiguous rows are shorter than this are walked one column at a
-# time: numpy pays a fixed cost per row, which would dominate short rows.
-_MIN_ROW = 16
+# Amplitudes per block of :func:`apply_multiplexed`: a block and its product
+# (512 KiB apiece) stay in cache, so a large state passes through memory once
+# per call however many qubits the operator spans.
+_CHUNK = 1 << 15
 
 
-def _rotate(a: np.ndarray, b: np.ndarray, m: np.ndarray) -> None:
-    """In place (a, b) <- (m00 a + m01 b, m10 a + m11 b) for same-shape views.
+def apply_multiplexed(buf: np.ndarray, first: int, ops: np.ndarray) -> None:
+    """Apply a multiplexed operator to consecutive qubits of ``buf``, in place.
 
-    Every amplitude gets the same arithmetic however the views are split into
-    blocks, so results are deterministic and independent of the blocking.
+    ``ops`` has shape (2**w, d, d) with d = 2**m: where the w qubits from
+    ``first`` on read c (older qubit first), ``ops[c]`` acts on the m qubits
+    after them, and those w qubits are never altered.  ``buf`` is a writable
+    C-contiguous complex array of length 2**n with first + w + m - 1 <= n.
+
+    The product of each block of about _CHUNK amplitudes goes to one reused
+    block-sized array and is copied back, so no state-sized temporary is made
+    (``out=`` on an operand that aliases ``buf`` would make numpy copy the
+    whole state).
     """
-    if a.size <= _BLOCK:
-        a_old = a.copy()
-        a *= m[0, 0]
-        a += m[0, 1] * b
-        b *= m[1, 1]
-        a_old *= m[1, 0]
-        b += a_old
-    elif a.ndim > 1 and a.shape[-1] < _MIN_ROW:
-        for r in range(a.shape[-1]):
-            _rotate(a[..., r], b[..., r], m)
-    else:
-        inner = a.size // a.shape[0]
-        if inner >= _BLOCK:
-            for i in range(a.shape[0]):
-                _rotate(a[i], b[i], m)
-        else:
-            rows = _BLOCK // inner
-            for i in range(0, a.shape[0], rows):
-                _rotate(a[i : i + rows], b[i : i + rows], m)
+    ops = np.asarray(ops, dtype=complex)
+    branches, d = ops.shape[:2]
+    # Axes: the qubits before the operator, its control value, the qubits it
+    # acts on and the qubits after it.  Basic indexing keeps every block a
+    # view that writes through to ``buf``.  All sizes are powers of two, so
+    # the blocks tile the view exactly.
+    view = buf.reshape(1 << (first - 1), branches, d, -1)
+    pre, post = view.shape[0], view.shape[3]
+    cols = min(post, max(1, _CHUNK // (branches * d)))
+    step = min(pre, max(1, _CHUNK // (branches * d * cols)))
+    out = np.empty((step, branches, d, cols), dtype=complex)
+    ops_t = ops.transpose(0, 2, 1)
+    for i in range(0, pre, step):
+        for j in range(0, post, cols):
+            block = view[i : i + step, :, :, j : j + cols]
+            if cols == 1:
+                # One column (the operator ends on the last qubit): per
+                # control value the block is a (row, d) matrix, so right-
+                # multiply by ops[c]^T, one product per control value rather
+                # than one per row.
+                np.matmul(block[..., 0].transpose(1, 0, 2), ops_t,
+                          out=out[..., 0].transpose(1, 0, 2))
+            else:
+                np.matmul(ops, block, out=out)
+            block[...] = out
 
 
 def apply_gate(buf: np.ndarray, target: int, coins: np.ndarray) -> None:
@@ -213,9 +230,4 @@ def apply_gate(buf: np.ndarray, target: int, coins: np.ndarray) -> None:
         raise ValueError(
             f"target={target} out of range for a {len(coins)}-matrix gate on {n} qubits"
         )
-    # Axes: the qubits before the window, the window's branch index, the
-    # target bit and the qubits after it.  Basic indexing keeps every
-    # operand a view that writes through to ``buf``.
-    view = buf.reshape(1 << (target - 1 - window), len(coins), 2, 1 << (n - target))
-    for c, m in enumerate(coins):
-        _rotate(view[:, c, 0], view[:, c, 1], m)
+    apply_multiplexed(buf, target - window, coins)

@@ -13,6 +13,13 @@ read the tokens in order and take everything else from this rule.  ``run``
 plays a plan with the five coins of ``coins.games_from_bias``: game A tosses
 coin 0, and game B tosses coin 1 + ((older << 1) | newer) of its two controls.
 
+``run`` plays the games by windows.  Consecutive games target consecutive
+qubits, so a window of m games acts on its m targets and reads, as controls,
+at most the two qubits just above them, which it never changes.  Its
+operator is one 2**m-square matrix per value of those controls, built by
+``statevector.apply_gate`` on identity columns, so this rule is written once,
+and applied to the state in one pass of ``statevector.apply_multiplexed``.
+
 For pure-B strings, alternating AB strings and AAB blocks this reproduces
 the standard sliding-window layouts exactly.  For arbitrary mixed strings
 (say "ABBAB") the same last-two-results rule is applied; that
@@ -27,7 +34,18 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .statevector import StateVector, apply_gate, check_coins, make_named_state
+from .statevector import (
+    StateVector,
+    apply_gate,
+    apply_multiplexed,
+    check_coins,
+    make_named_state,
+)
+
+# Most games fused into one window.  A window of m games costs 2**m complex
+# multiply-adds per amplitude in its one pass over the state, so past a few
+# games the arithmetic outweighs the memory traffic the window saves.
+_MAX_WINDOW = 5
 
 
 @dataclass(frozen=True)
@@ -69,7 +87,47 @@ def initial_state_for(plan: CircuitPlan, kind="zero") -> StateVector:
             )
         return kind
     amps = np.asarray(kind, dtype=complex)
+    if not np.may_share_memory(amps, kind):
+        # Converting (real amplitudes, say) made a fresh array that only this
+        # call holds: read-only, the StateVector adopts it without a copy.
+        amps.setflags(write=False)
     return StateVector(plan.total_qubits, amps)
+
+
+def _window_games(num_qubits: int) -> int:
+    """Games per window on a register of ``num_qubits``: the most, up to
+    _MAX_WINDOW, whose operator costs no more to build than one pass over the
+    state.  Building m games touches m * 2**(w + 2m) amplitudes, w <= 2."""
+    m = 1
+    while m < _MAX_WINDOW and (m + 1) << (2 + 2 * (m + 1)) <= 1 << num_qubits:
+        m += 1
+    return m
+
+
+def _window_operator(window: str, gates: dict) -> np.ndarray:
+    """The operator of consecutive games, as a (2**w, 2**m, 2**m) stack: one
+    block for each value c of the w qubits above the window that its games
+    read as controls (2 if it opens with a B, 1 if its second game is a B,
+    else 0), older qubit first, acting on its m targets.
+
+    One game's operator is its own coins.  Longer windows are built by
+    ``apply_gate`` on identity columns of a register of those w qubits and
+    the m targets.  No game alters its controls, so the columns that carry
+    control value c map into themselves, and the register holds for each c
+    only those 2**m columns.
+    """
+    if len(window) == 1:
+        return gates[window]
+    w = max((2 - k for k, token in enumerate(window[:2]) if token == "B"), default=0)
+    d = 1 << len(window)
+    # Axes: control value, the targets (the row index, which the games read
+    # and write), and the column index, which they never touch.
+    columns = np.zeros((1 << w, d, d), dtype=complex)
+    columns.reshape(1 << w, d * d)[:, :: d + 1] = 1.0
+    flat = columns.reshape(-1)
+    for target, token in enumerate(window, start=w + 1):
+        apply_gate(flat, target, gates[token])
+    return columns
 
 
 def run(plan: CircuitPlan, coins: np.ndarray, init: StateVector) -> StateVector:
@@ -78,10 +136,15 @@ def run(plan: CircuitPlan, coins: np.ndarray, init: StateVector) -> StateVector:
     ``coins[1:]``.
 
     ``init`` is left unchanged.  Its amplitudes are copied once into a private
-    buffer that every game updates in place; the coins are checked once per
-    call by ``check_coins``, the target once per game, and the final
-    amplitudes are validated once and handed, read-only and uncopied, to the
-    returned StateVector.
+    buffer, and the coins are checked once per call by ``check_coins``.  The
+    games are played in windows of up to m consecutive games, m set by the
+    register size (``_window_games``).  Each window's operator is built once
+    (``_window_operator``) and applied to the buffer in one pass of
+    ``apply_multiplexed``, one matrix per value of the window's control
+    qubits.  The windows are cut back from the last game, so every window
+    but the last leaves at least 2**m amplitudes after its qubits, which
+    keeps each matrix product wide.  The final amplitudes are validated once
+    and handed, read-only and uncopied, to the returned StateVector.
     """
     if init.num_qubits != plan.total_qubits:
         raise ValueError(
@@ -90,7 +153,13 @@ def run(plan: CircuitPlan, coins: np.ndarray, init: StateVector) -> StateVector:
     coins = check_coins(coins)
     gates = {"A": coins[:1], "B": coins[1:]}
     buf = np.array(init.amplitudes)
-    for target, token in enumerate(plan.tokens, start=plan.seed_count + 1):
-        apply_gate(buf, target, gates[token])
+    m = _window_games(plan.total_qubits)
+    tokens = plan.tokens
+    for end in range(len(tokens), 0, -m)[::-1]:
+        window = tokens[max(0, end - m) : end]
+        ops = _window_operator(window, gates)
+        controls = len(ops).bit_length() - 1
+        first_target = plan.seed_count + end - len(window) + 1
+        apply_multiplexed(buf, first_target - controls, ops)
     buf.setflags(write=False)
     return StateVector(plan.total_qubits, buf)

@@ -7,15 +7,18 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import qparrondo
-from qparrondo import statevector
+from qparrondo import statevector, wiring
 from qparrondo.coins import PhaseAssignment, games_from_bias, su2_matrix
 from qparrondo.statevector import (
     MAX_QUBITS,
     STRUCTURAL_TOL,
     StateVector,
     apply_gate,
+    apply_multiplexed,
     check_coins,
     check_unitary2,
     make_basis_state,
@@ -58,10 +61,11 @@ def ref_apply_multiplexed(amps, n, hi, lo, target, mats):
 
 
 def block_diag(mats):
-    """The block-diagonal matrix diag(mats[0], mats[1], ...) of 2x2 blocks."""
-    out = np.zeros((2 * len(mats), 2 * len(mats)), dtype=complex)
+    """The block-diagonal matrix diag(mats[0], mats[1], ...) of square blocks."""
+    d = len(mats[0])
+    out = np.zeros((d * len(mats), d * len(mats)), dtype=complex)
     for k, u in enumerate(mats):
-        out[2 * k : 2 * k + 2, 2 * k : 2 * k + 2] = u
+        out[d * k : d * (k + 1), d * k : d * (k + 1)] = u
     return out
 
 
@@ -443,21 +447,6 @@ def test_check_unitary2_tolerance_matches_the_allclose_rule():
 
 # --- the in-place kernel against the reference kernels ---
 
-# Shrinking the block and row thresholds sends small states through every
-# branch of the blocked update (column walks, row chunks, per-row recursion)
-# that the default thresholds reserve for states above 12 qubits.
-BLOCKINGS = {"default": None, "tiny-blocks": (4, 4)}
-
-
-@pytest.fixture(params=sorted(BLOCKINGS))
-def blocking(request, monkeypatch):
-    if BLOCKINGS[request.param] is not None:
-        block, min_row = BLOCKINGS[request.param]
-        monkeypatch.setattr(statevector, "_BLOCK", block)
-        monkeypatch.setattr(statevector, "_MIN_ROW", min_row)
-    return request.param
-
-
 def check_inplace_against_reference(s, rng, targets, windows_ending_at):
     n = s.num_qubits
     for target in targets:
@@ -471,8 +460,8 @@ def check_inplace_against_reference(s, rng, targets, windows_ending_at):
         assert np.allclose(buf, ref, atol=ATOL), target
 
 
-@pytest.mark.parametrize("n", range(3, 9))
-def test_inplace_kernels_match_reference_for_every_qubit_ordering(n, blocking):
+@pytest.mark.parametrize("n", range(3, 9), ids=lambda n: f"default-{n}")
+def test_inplace_kernels_match_reference_for_every_qubit_ordering(n):
     # every gate run can produce on n qubits: game A on each target, and
     # game B on each window (t-2, t-1, t) for t = 3..n
     rng = np.random.default_rng(300 + n)
@@ -481,8 +470,8 @@ def test_inplace_kernels_match_reference_for_every_qubit_ordering(n, blocking):
 
 
 def test_inplace_kernels_match_reference_above_block_size():
-    # 16 qubits: every view the kernels update is larger than the default
-    # block, so the default thresholds take the blocked branches too
+    # 16 qubits, twice a product block of apply_multiplexed: a gate on the top
+    # qubit is split into column blocks, the others into row blocks
     rng = np.random.default_rng(316)
     check_inplace_against_reference(random_state(16, rng), rng, (1, 8, 13, 16), (3, 8, 16))
 
@@ -577,6 +566,114 @@ def test_run_returns_read_only_amplitudes_and_leaves_init_untouched():
     assert np.array_equal(init.amplitudes, before)
 
 
+# --- the fused run: windows of games against the per-gate loop ---
+
+def gate_loop(plan, coins, amplitudes):
+    """The reference for run: the plan's games one apply_gate call each."""
+    buf = np.array(amplitudes)
+    for target, token in enumerate(plan.tokens, start=plan.seed_count + 1):
+        apply_gate(buf, target, coin_matrices(coins)[token])
+    return buf
+
+
+def random_coins(rng):
+    return np.array([random_unitary(rng) for _ in range(5)])
+
+
+def token_strings(length):
+    """All 2**length strings over {A, B} of one length."""
+    return [format(k, f"0{length}b").translate(str.maketrans("01", "AB")) for k in range(1 << length)]
+
+
+@pytest.mark.parametrize("games", range(1, 6))
+def test_run_matches_gate_loop_at_every_window_offset(games, monkeypatch):
+    # Every sequence of up to 8 tokens, played in windows of `games`: every
+    # window content occurs, opening with A and with B, and the first window
+    # holds each count of games from 1 to `games`.
+    monkeypatch.setattr(wiring, "_window_games", lambda num_qubits: games)
+    rng = np.random.default_rng(900 + games)
+    for length in range(1, 9):
+        for seq in token_strings(length):
+            plan = compile_sequence(seq)
+            init = random_state(plan.total_qubits, rng)
+            coins = random_coins(rng)
+            out = run(plan, coins, init)
+            expected = gate_loop(plan, coins, init.amplitudes)
+            assert np.allclose(out.amplitudes, expected, atol=ATOL, rtol=0.0), seq
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(
+    seq=st.text("AB", min_size=1, max_size=14).filter(
+        lambda seq: compile_sequence(seq).total_qubits <= 14
+    ),
+    seed=st.integers(0, 2**32 - 1),
+    chunk=st.sampled_from([4, 64, 1024, statevector._CHUNK]),
+)
+def test_run_matches_gate_loop_on_random_plans(seq, seed, chunk):
+    # 1-14 qubits, seed qubits included; windows as long as the register
+    # allows; small product blocks send small states through every block loop
+    rng = np.random.default_rng(seed)
+    plan = compile_sequence(seq)
+    init = random_state(plan.total_qubits, rng)
+    coins = random_coins(rng)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(statevector, "_CHUNK", chunk)
+        out = run(plan, coins, init)
+    expected = gate_loop(plan, coins, init.amplitudes)
+    assert np.allclose(out.amplitudes, expected, atol=ATOL, rtol=0.0)
+
+
+@pytest.mark.parametrize("games", range(1, 6))
+def test_window_operators_are_unitary_and_keep_their_controls(games):
+    # The whole operator of each window, from apply_gate on every identity
+    # column of its controls and targets, is unitary, never maps one control
+    # value into another, and its diagonal blocks are the window's operator.
+    rng = np.random.default_rng(950 + games)
+    gates = coin_matrices(random_coins(rng))
+    for window in token_strings(games):
+        controls = 2 if window[0] == "B" else 1 if window[1:2] == "B" else 0
+        ops = wiring._window_operator(window, gates)
+        assert ops.shape == (1 << controls, 1 << games, 1 << games)
+        size = 1 << (controls + games)
+        whole = np.eye(size, dtype=complex).reshape(-1)
+        for target, token in enumerate(window, start=controls + 1):
+            apply_gate(whole, target, gates[token])
+        whole = whole.reshape(size, size)
+        assert np.abs(whole.conj().T @ whole - np.eye(size)).max() <= STRUCTURAL_TOL
+        blocks = whole.reshape(1 << controls, 1 << games, 1 << controls, 1 << games)
+        for c in range(1 << controls):
+            for other in range(1 << controls):
+                if other != c:
+                    assert not blocks[c, :, other].any(), (window, c, other)
+            gram = ops[c].conj().T @ ops[c]
+            assert np.abs(gram - np.eye(1 << games)).max() <= STRUCTURAL_TOL
+            assert np.allclose(ops[c], blocks[c, :, c], atol=1e-15, rtol=0.0)
+
+
+@pytest.mark.parametrize("chunk", [4, 64, None])
+def test_multiplexed_operator_matches_kronecker_reference(chunk, monkeypatch):
+    # Any stack of 2**w (2**m x 2**m) blocks at any position of an n-qubit
+    # register: kron(I, block_diag(ops), I) is the operator it applies
+    if chunk is not None:
+        monkeypatch.setattr(statevector, "_CHUNK", chunk)
+    rng = np.random.default_rng(970)
+    for n in range(1, 9):
+        amps = random_state(n, rng).amplitudes
+        for w in range(3):
+            for m in range(1, 4):
+                for first in range(1, n - w - m + 2):
+                    shape = (1 << w, 1 << m, 1 << m)
+                    ops = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+                    whole = np.kron(
+                        np.kron(np.eye(1 << (first - 1)), block_diag(ops)),
+                        np.eye(1 << (n - first - w - m + 1)),
+                    )
+                    buf = np.array(amps)
+                    apply_multiplexed(buf, first, ops)
+                    assert np.allclose(buf, whole @ amps, atol=ATOL, rtol=0.0), (n, w, m, first)
+
+
 # --- memory: no state-sized temporaries (tracemalloc sees numpy's buffers) ---
 
 MEMORY_QUBITS = 20
@@ -626,3 +723,28 @@ def test_run_allocates_one_work_buffer():
     peak = traced_peak(lambda: run(plan, coins, init))
     assert peak < 1.25 * init.amplitudes.nbytes
 
+
+
+def test_run_makes_no_second_state_sized_array():
+    # 16 qubits: a product block is half the state, so one more state-sized
+    # array would show.  Allowed: the work buffer, one product block and the
+    # window's operator (64 KiB).
+    n = 16
+    plan = compile_sequence("AAB" * 5 + "A")
+    assert plan.total_qubits == n
+    init = initial_state_for(plan, read_only_state_amplitudes(n, np.random.default_rng(603)))
+    peak = traced_peak(lambda: run(plan, games_from_bias(0.01), init))
+    state_bytes = init.amplitudes.nbytes
+    block_bytes = 16 * statevector._CHUNK
+    assert block_bytes == state_bytes // 2
+    assert peak < state_bytes + 1.25 * block_bytes
+
+
+@pytest.mark.parametrize("dtype", [complex, float], ids=["complex128", "float64"])
+def test_custom_amplitudes_are_copied_once(dtype):
+    # a real input is converted to complex once, and that array is adopted
+    plan = compile_sequence("A" * MEMORY_QUBITS)
+    amps = np.random.default_rng(604).standard_normal(1 << MEMORY_QUBITS).astype(dtype)
+    amps /= np.linalg.norm(amps)
+    peak = traced_peak(lambda: initial_state_for(plan, amps))
+    assert peak <= 1.05 * (16 << MEMORY_QUBITS)
