@@ -16,8 +16,14 @@ c1*eps, with c1 the central difference of ``coins.bias_expansion``.
 picks its backend once.  The all-zero and GHZ states, named by the strings
 "zero" and "ghz", take the linear-time transfer-matrix walk of ``transfer``
 (any sequence length); a StateVector or an amplitude array takes the dense
-``wiring.run`` (at most MAX_QUBITS qubits).  Each evaluation builds the five
+statevector (at most MAX_QUBITS qubits).  Each evaluation builds the five
 coins of ``coins.games_from_bias`` and hands that one array to the backend.
+
+A dense evaluation plays the windows of ``wiring.play_to_last_window``, whose
+first window reads the initial state, and reduces the products of the last
+window into the payoff as they are made: the final state is never written,
+and its norm is checked, by the StateVector rule, from the reduction's own
+chunk sums.  Its total equals ``payoff_expectation(run(...))``.
 """
 from __future__ import annotations
 
@@ -25,15 +31,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import statevector
 from .coins import PhaseAssignment, bias_expansion, games_from_bias
-from .statevector import NAMED_STATES, StateVector
+from .statevector import NAMED_STATES, StateVector, check_norm, multiplexed_products
 from .transfer import transfer_total
-from .wiring import compile_sequence, initial_state_for, run
-
-
-# Amplitudes per chunk of the payoff reduction: its three working arrays
-# (256 KiB apiece) are all it allocates, whatever the state's size.
-_CHUNK = 1 << 15
+from .wiring import compile_sequence, initial_state_for, play_to_last_window
 
 
 def _marginal_sum(m: np.ndarray) -> float:
@@ -52,28 +54,54 @@ def _marginal_sum(m: np.ndarray) -> float:
     return float(biases.sum())
 
 
-def payoff_expectation(state: StateVector) -> float:
-    """Expected payoff sum((2*popcount(label) - n) * |amp|^2); lies in [-n, n].
+def _reduce(chunks) -> tuple[float, float]:
+    """(payoff, |psi|^2) of a state given as consecutive chunks of equal
+    power-of-two length, in state order.
 
-    Computed from the per-qubit marginals, sum_q (P(q reads 1) - P(q reads 0)),
-    chunk by chunk in O(2**n) and without a state-sized temporary.  A chunk's
+    The payoff comes from the per-qubit marginals, sum_q (P(q reads 1) -
+    P(q reads 0)), in O(2**n) and without a state-sized temporary.  A chunk's
     index holds the top qubits and the offset in it the low ones, so the
-    probabilities of each chunk are added into ``low`` (the marginal of the low
-    qubits) and their total stored in ``high`` (the marginal of the top ones);
-    the payoff, linear in the probabilities, is the successive-halving sum of
-    each.  A state of at most _CHUNK amplitudes is one chunk, reduced exactly
-    as a whole.
+    probabilities of each chunk are added into ``low`` (the marginal of the
+    low qubits) and their total stored in ``high`` (the marginal of the top
+    ones); the payoff, linear in the probabilities, is the successive-halving
+    sum of each, and |psi|^2 is the sum of ``high``.  Its three working
+    arrays are all it allocates.
     """
-    amps = state.amplitudes.reshape(-1, min(state.amplitudes.size, _CHUNK))
-    prob = np.empty(amps.shape[1])
-    low = np.zeros(amps.shape[1])
-    high = np.empty(amps.shape[0])
-    for j, chunk in enumerate(amps):
+    high = []
+    for chunk in chunks:
+        if not high:
+            prob = np.empty(chunk.size)
+            low = np.zeros(chunk.size)
         np.abs(chunk, out=prob)
         prob *= prob
         low += prob
-        high[j] = prob.sum()
-    return _marginal_sum(high) + _marginal_sum(low)
+        high.append(prob.sum())
+    high = np.array(high)
+    return _marginal_sum(high) + _marginal_sum(low), float(high.sum())
+
+
+def payoff_expectation(state: StateVector) -> float:
+    """Expected payoff sum((2*popcount(label) - n) * |amp|^2); lies in [-n, n].
+
+    Reduced in chunks of ``statevector._CHUNK`` amplitudes.  A state of at
+    most one chunk is reduced exactly as a whole.
+    """
+    amps = state.amplitudes
+    return _reduce(amps.reshape(-1, min(amps.size, statevector._CHUNK)))[0]
+
+
+def _dense_total(plan, coins: np.ndarray, init: StateVector) -> float:
+    """The dense payoff total, ``payoff_expectation(run(plan, coins, init))``
+    without the final state: the last window's product blocks, contiguous
+    runs of the state in order, go straight to the reduction, and the final
+    norm is checked from its chunk sums by ``check_norm``, the StateVector
+    rule."""
+    state, first, ops = play_to_last_window(plan, coins, init)
+    total, norm_sq = _reduce(
+        product.reshape(-1) for _, product in multiplexed_products(state, first, ops)
+    )
+    check_norm(norm_sq)
+    return total
 
 
 def per_qubit(total: float, num_qubits: int) -> float:
@@ -97,7 +125,8 @@ class Evaluator:
 
     ``plan`` is compiled and the backend chosen once: NAMED_STATES take the
     transfer-matrix walk; a StateVector or an amplitude array is validated
-    once, here, and takes the dense ``run``.
+    once, here, and takes the dense path, which reads it once per evaluation
+    and checks the final norm of every evaluation.
     """
 
     def __init__(self, seq: str, init="ghz"):
@@ -106,7 +135,7 @@ class Evaluator:
             self._total = lambda coins: transfer_total(plan, coins, init)
         else:
             state = initial_state_for(plan, init)
-            self._total = lambda coins: payoff_expectation(run(plan, coins, state))
+            self._total = lambda coins: _dense_total(plan, coins, state)
 
     def payoff(
         self,

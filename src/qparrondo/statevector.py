@@ -10,23 +10,28 @@ copied unless the array given is already read-only and owns its memory, and
 validated (shape, finiteness, unit norm) when it is built, the copy rather than
 the caller's array.  The norm check is one dot-product pass that allocates
 nothing, so adopting an array costs no state-sized memory; the named and basis
-states are built read-only and adopted that way.
+states are built read-only and adopted that way.  :func:`check_norm` is that
+rule on its own, for a norm summed elsewhere.
 
-Two in-place kernels update a private, writable buffer.
-:func:`apply_multiplexed` applies a stack of matrices to consecutive qubits,
-one matrix for each value of the control qubits just before them, as a few
-BLAS matrix products over blocks of about _CHUNK amplitudes, each written to
-one reused block-sized array and copied back, so a large state passes through
-memory once per call.  :func:`apply_gate` is one game: a 2x2 unitary on a
-fresh target qubit, picked for game B by the two qubits just before the
-target (the wiring rule of ``wiring``).  ``wiring.run`` builds each window of
-consecutive games by running apply_gate on a window-sized register of
-identity columns, then applies that window to the state with
-apply_multiplexed.  It copies the initial state into one buffer, validates
-the five coins once with :func:`check_coins`, and hands the buffer, made
-read-only, to the result.  apply_gate checks only the target's range and
-the coin count, apply_multiplexed nothing: both trust their caller for the
-rest.
+One block kernel does the arithmetic.  :func:`multiplexed_products` applies a
+stack of matrices to consecutive qubits, one matrix for each value of the
+control qubits just before them, as a few BLAS matrix products over blocks of
+about _CHUNK amplitudes, and yields each block's product in one reused
+block-sized array, so a large state passes through memory once per window.
+:func:`apply_multiplexed` writes those products into a writable buffer, in
+place or from a separate source, and :func:`apply_gate` is one game on a
+buffer: a 2x2 unitary on a fresh target qubit, picked for game B by the two
+qubits just before the target (the wiring rule of ``wiring``).
+``wiring.play_to_last_window`` builds each window of consecutive games by
+running apply_gate on a window-sized register of identity columns.  Its first
+window reads the initial state and writes a fresh work buffer, so the initial
+state is read once and never copied, and the five coins are validated once
+with :func:`check_coins`.  The last window's products are written back by
+``wiring.run``, which hands the buffer, made read-only, to the result, or
+reduced straight into the payoff by the dense evaluator in ``payoff``, which
+checks the final norm from the same sums.  apply_gate checks only the
+target's range and the coin count, the other two kernels nothing: all trust
+their caller for the rest.
 
 The named initial states live in one table, NAMED_STATES, which the dense
 states here, the transfer walk, the evaluator and the CLI all read.
@@ -81,15 +86,20 @@ class StateVector:
         # and imaginary parts with themselves, a sum of squares that cannot
         # cancel.  (A complex vdot would turn an infinite amplitude into NaN.)
         parts = amps.view(np.float64)
-        norm_sq = float(np.dot(parts, parts))
-        # A NaN or infinite amplitude makes the norm non-finite, and a NaN
-        # norm would slip through the tolerance comparison below.
-        if not np.isfinite(norm_sq):
-            raise ValueError(f"state has non-finite amplitudes: |psi|^2 = {norm_sq!r}")
-        if abs(norm_sq - 1.0) > STRUCTURAL_TOL:
-            raise ValueError(f"state is not normalized: |psi|^2 = {norm_sq!r}")
+        check_norm(float(np.dot(parts, parts)))
         object.__setattr__(self, "amplitudes", amps)
         object.__setattr__(self, "num_qubits", int(n))
+
+
+def check_norm(norm_sq: float) -> None:
+    """The norm rule of every state: |psi|^2 is finite and within
+    STRUCTURAL_TOL of 1."""
+    # A NaN or infinite amplitude makes the norm non-finite, and a NaN norm
+    # would slip through the tolerance comparison below.
+    if not np.isfinite(norm_sq):
+        raise ValueError(f"state has non-finite amplitudes: |psi|^2 = {norm_sq!r}")
+    if abs(norm_sq - 1.0) > STRUCTURAL_TOL:
+        raise ValueError(f"state is not normalized: |psi|^2 = {norm_sq!r}")
 
 
 def check_unitary2(u: np.ndarray) -> np.ndarray:
@@ -164,32 +174,35 @@ def make_ghz(num_qubits: int) -> StateVector:
     return make_named_state(num_qubits, "ghz")
 
 
-# Amplitudes per block of :func:`apply_multiplexed`: a block and its product
-# (512 KiB apiece) stay in cache, so a large state passes through memory once
-# per call however many qubits the operator spans.
+# Amplitudes per block of :func:`multiplexed_products`: a block and its
+# product (512 KiB apiece) stay in cache, so a large state passes through
+# memory once per window however many qubits the operator spans.  The payoff
+# reduction takes its chunks of this size too.
 _CHUNK = 1 << 15
 
 
-def apply_multiplexed(buf: np.ndarray, first: int, ops: np.ndarray) -> None:
-    """Apply a multiplexed operator to consecutive qubits of ``buf``, in place.
+def multiplexed_products(src: np.ndarray, first: int, ops: np.ndarray):
+    """Yield a multiplexed operator's products on ``src``, block by block.
 
     ``ops`` has shape (2**w, d, d) with d = 2**m: where the w qubits from
     ``first`` on read c (older qubit first), ``ops[c]`` acts on the m qubits
-    after them, and those w qubits are never altered.  ``buf`` is a writable
-    C-contiguous complex array of length 2**n with first + w + m - 1 <= n.
+    after them, and those w qubits are never altered.  ``src`` is a
+    C-contiguous complex array of length 2**n with first + w + m - 1 <= n;
+    it is only read.
 
-    The product of each block of about _CHUNK amplitudes goes to one reused
-    block-sized array and is copied back, so no state-sized temporary is made
-    (``out=`` on an operand that aliases ``buf`` would make numpy copy the
-    whole state).
+    Each item is ``(index, product)``: the operator applied to the block
+    ``index`` of the view ``reshape(2**(first - 1), 2**w, d, -1)`` of the
+    state, a block of about _CHUNK amplitudes.  ``product`` is one reused
+    array, overwritten by the next item.  When the operator ends on the last
+    qubit, every product is a contiguous run of the state, the runs come in
+    state order and all have the same length.
     """
     ops = np.asarray(ops, dtype=complex)
     branches, d = ops.shape[:2]
     # Axes: the qubits before the operator, its control value, the qubits it
-    # acts on and the qubits after it.  Basic indexing keeps every block a
-    # view that writes through to ``buf``.  All sizes are powers of two, so
-    # the blocks tile the view exactly.
-    view = buf.reshape(1 << (first - 1), branches, d, -1)
+    # acts on and the qubits after it.  All sizes are powers of two, so the
+    # blocks tile the view exactly.
+    view = src.reshape(1 << (first - 1), branches, d, -1)
     pre, post = view.shape[0], view.shape[3]
     cols = min(post, max(1, _CHUNK // (branches * d)))
     step = min(pre, max(1, _CHUNK // (branches * d * cols)))
@@ -197,7 +210,8 @@ def apply_multiplexed(buf: np.ndarray, first: int, ops: np.ndarray) -> None:
     ops_t = ops.transpose(0, 2, 1)
     for i in range(0, pre, step):
         for j in range(0, post, cols):
-            block = view[i : i + step, :, :, j : j + cols]
+            index = (slice(i, i + step), slice(None), slice(None), slice(j, j + cols))
+            block = view[index]
             if cols == 1:
                 # One column (the operator ends on the last qubit): per
                 # control value the block is a (row, d) matrix, so right-
@@ -207,7 +221,21 @@ def apply_multiplexed(buf: np.ndarray, first: int, ops: np.ndarray) -> None:
                           out=out[..., 0].transpose(1, 0, 2))
             else:
                 np.matmul(ops, block, out=out)
-            block[...] = out
+            yield index, out
+
+
+def apply_multiplexed(buf: np.ndarray, first: int, ops: np.ndarray, src: np.ndarray | None = None) -> None:
+    """Write the operator of :func:`multiplexed_products` applied to ``src``
+    (by default ``buf`` itself, in place) into ``buf``, a writable
+    C-contiguous complex array of the same length.
+
+    Each block's product goes to one reused block-sized array and is then
+    copied into ``buf``, so no state-sized temporary is made (``out=`` on an
+    operand that aliases ``buf`` would make numpy copy the whole state).
+    """
+    view = buf.reshape(1 << (first - 1), *np.shape(ops)[:2], -1)
+    for index, product in multiplexed_products(buf if src is None else src, first, ops):
+        view[index] = product
 
 
 def apply_gate(buf: np.ndarray, target: int, coins: np.ndarray) -> None:

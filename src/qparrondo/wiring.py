@@ -13,12 +13,16 @@ read the tokens in order and take everything else from this rule.  ``run``
 plays a plan with the five coins of ``coins.games_from_bias``: game A tosses
 coin 0, and game B tosses coin 1 + ((older << 1) | newer) of its two controls.
 
-``run`` plays the games by windows.  Consecutive games target consecutive
-qubits, so a window of m games acts on its m targets and reads, as controls,
-at most the two qubits just above them, which it never changes.  Its
-operator is one 2**m-square matrix per value of those controls, built by
+Dense evaluation plays the games by windows.  Consecutive games target
+consecutive qubits, so a window of m games acts on its m targets and reads,
+as controls, at most the two qubits just above them, which it never changes.
+Its operator is one 2**m-square matrix per value of those controls, built by
 ``statevector.apply_gate`` on identity columns, so this rule is written once,
-and applied to the state in one pass of ``statevector.apply_multiplexed``.
+and applied to the state in one pass of ``statevector.multiplexed_products``.
+``play_to_last_window`` is the one window driver: it plays every window but
+the last, reading the initial state in the first.  ``run`` writes the last
+window's products back and returns the state; the dense payoff in ``payoff``
+reduces them instead, so it never holds a final state.
 
 For pure-B strings, alternating AB strings and AAB blocks this reproduces
 the standard sliding-window layouts exactly.  For arbitrary mixed strings
@@ -130,36 +134,65 @@ def _window_operator(window: str, gates: dict) -> np.ndarray:
     return columns
 
 
-def run(plan: CircuitPlan, coins: np.ndarray, init: StateVector) -> StateVector:
-    """Play every game of the plan on the initial state with the five coins
-    of ``coins.games_from_bias``: game A tosses ``coins[0]``, game B one of
-    ``coins[1:]``.
+def _windows(plan: CircuitPlan, gates: dict):
+    """(first qubit, operator) of each window of the plan, in play order.
 
-    ``init`` is left unchanged.  Its amplitudes are copied once into a private
-    buffer, and the coins are checked once per call by ``check_coins``.  The
-    games are played in windows of up to m consecutive games, m set by the
-    register size (``_window_games``).  Each window's operator is built once
-    (``_window_operator``) and applied to the buffer in one pass of
-    ``apply_multiplexed``, one matrix per value of the window's control
-    qubits.  The windows are cut back from the last game, so every window
-    but the last leaves at least 2**m amplitudes after its qubits, which
-    keeps each matrix product wide.  The final amplitudes are validated once
-    and handed, read-only and uncopied, to the returned StateVector.
+    The games are played in windows of up to m consecutive games, m set by
+    the register size (``_window_games``), and each window's operator is
+    built when it is reached (``_window_operator``).  The windows are cut
+    back from the last game, so every window but the last leaves at least
+    2**m amplitudes after its qubits, which keeps each matrix product wide,
+    and the last window ends on the last qubit.
     """
-    if init.num_qubits != plan.total_qubits:
-        raise ValueError(
-            f"initial state has {init.num_qubits} qubits, plan needs {plan.total_qubits}"
-        )
-    coins = check_coins(coins)
-    gates = {"A": coins[:1], "B": coins[1:]}
-    buf = np.array(init.amplitudes)
     m = _window_games(plan.total_qubits)
     tokens = plan.tokens
     for end in range(len(tokens), 0, -m)[::-1]:
         window = tokens[max(0, end - m) : end]
         ops = _window_operator(window, gates)
         controls = len(ops).bit_length() - 1
-        first_target = plan.seed_count + end - len(window) + 1
-        apply_multiplexed(buf, first_target - controls, ops)
+        yield plan.seed_count + end - len(window) + 1 - controls, ops
+
+
+def play_to_last_window(plan: CircuitPlan, coins: np.ndarray, init: StateVector):
+    """The window driver of every dense evaluation: play every window of the
+    plan but the last, and return ``(amplitudes, first, ops)``, the state
+    before the last window and that window, for the caller to finish with
+    ``statevector.multiplexed_products`` or ``apply_multiplexed``.
+
+    The coins are checked once, by ``check_coins``.  ``init`` is only read:
+    the first window reads its amplitudes and writes a fresh work buffer,
+    which every later window updates in place, one pass each.  For a
+    one-window plan nothing is played, and the amplitudes returned are
+    ``init``'s own; otherwise they are the work buffer.
+    """
+    if init.num_qubits != plan.total_qubits:
+        raise ValueError(
+            f"initial state has {init.num_qubits} qubits, plan needs {plan.total_qubits}"
+        )
+    coins = check_coins(coins)
+    windows = _windows(plan, {"A": coins[:1], "B": coins[1:]})
+    state, window = init.amplitudes, next(windows)
+    for following in windows:
+        buf = np.empty_like(state) if state is init.amplitudes else state
+        apply_multiplexed(buf, *window, src=state)
+        state, window = buf, following
+    return (state, *window)
+
+
+def run(plan: CircuitPlan, coins: np.ndarray, init: StateVector) -> StateVector:
+    """Play every game of the plan on the initial state with the five coins
+    of ``coins.games_from_bias``: game A tosses ``coins[0]``, game B one of
+    ``coins[1:]``.
+
+    The windows are played by ``play_to_last_window``, so ``init`` is left
+    unchanged and read once, by the first window, and the coins are checked
+    once per call.  The last window writes its products back into the work
+    buffer (into a fresh one when it is also the first).  The final
+    amplitudes are validated once and handed, read-only and uncopied, to the
+    returned StateVector.
+    """
+    state, first, ops = play_to_last_window(plan, coins, init)
+    buf = np.empty_like(state) if state is init.amplitudes else state
+    apply_multiplexed(buf, first, ops, src=state)
     buf.setflags(write=False)
     return StateVector(plan.total_qubits, buf)

@@ -1,13 +1,21 @@
 import math
+import os
+import subprocess
+import sys
 import tracemalloc
+from collections import deque
 from itertools import combinations
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from qparrondo import payoff
+import qparrondo
+from qparrondo import payoff, statevector, wiring
 from qparrondo.classical import classical_sequence_payoff
-from qparrondo.coins import PhaseAssignment
+from qparrondo.coins import PhaseAssignment, su2_matrix
 from qparrondo.payoff import (
     Evaluator,
     payoff_epsilon_expansion,
@@ -16,6 +24,7 @@ from qparrondo.payoff import (
     sequence_payoff,
 )
 from qparrondo.statevector import StateVector, make_basis_state, make_ghz
+from qparrondo.wiring import compile_sequence, play_to_last_window, run
 
 ATOL = 1e-12
 E2E = 1e-9
@@ -183,6 +192,156 @@ def test_evaluator_validates_a_custom_state_once(monkeypatch):
     assert abs(e.c0 - 1 / 15) < E2E and abs(e.c1) < 1e-6
     assert abs(evaluator.payoff(0.0, normalize=False) - 0.2) < E2E
     assert len(built) == 1
+
+
+# --- the dense total: the last window feeds the payoff reduction ---
+
+def random_coins(rng):
+    return np.array([
+        su2_matrix(theta=rng.uniform(-math.pi, math.pi), gamma=rng.uniform(0, 2 * math.pi),
+                   delta=rng.uniform(0, 2 * math.pi))
+        for _ in range(5)
+    ])
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(
+    seq=st.text("AB", min_size=1, max_size=14).filter(
+        lambda seq: compile_sequence(seq).total_qubits <= 14
+    ),
+    seed=st.integers(0, 2**32 - 1),
+    chunk=st.sampled_from([4, 64, 1024, statevector._CHUNK]),
+)
+def test_dense_total_matches_payoff_of_the_run_state(seq, seed, chunk):
+    # 1-14 qubits, seed qubits included, random coins and custom amplitudes;
+    # small blocks send small states through many reduction chunks
+    rng = np.random.default_rng(seed)
+    plan = compile_sequence(seq)
+    init = random_state(plan.total_qubits, rng)
+    coins = random_coins(rng)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(statevector, "_CHUNK", chunk)
+        total = payoff._dense_total(plan, coins, init)
+        want = payoff_expectation(run(plan, coins, init))
+    assert abs(total - want) <= 1e-13
+
+
+def one_window(monkeypatch):
+    """Play every plan of up to _MAX_WINDOW games as one window."""
+    monkeypatch.setattr(wiring, "_window_games", lambda num_qubits: wiring._MAX_WINDOW)
+
+
+@pytest.mark.parametrize("chunk", [4, 64, 1024, None])
+def test_one_window_plans_reduce_the_initial_state_directly(chunk, monkeypatch):
+    # The first window is also the last: it reads init and reduces it
+    one_window(monkeypatch)
+    if chunk is not None:
+        monkeypatch.setattr(statevector, "_CHUNK", chunk)
+    rng = np.random.default_rng(730)
+    for length in range(1, wiring._MAX_WINDOW + 1):
+        for k in range(1 << length):
+            seq = format(k, f"0{length}b").translate(str.maketrans("01", "AB"))
+            plan = compile_sequence(seq)
+            init = random_state(plan.total_qubits, rng)
+            before = init.amplitudes.copy()
+            coins = random_coins(rng)
+            assert play_to_last_window(plan, coins, init)[0] is init.amplitudes
+            total = payoff._dense_total(plan, coins, init)
+            assert abs(total - payoff_expectation(run(plan, coins, init))) <= 1e-13, seq
+            assert np.array_equal(init.amplitudes, before)
+
+
+SPOILED_WINDOWS = [
+    ("scale", "state is not normalized: |psi|^2 = "),
+    ("nan", "state has non-finite amplitudes: |psi|^2 = "),
+]
+
+
+def spoiled_payoff(spoil: str, seq: str) -> str:
+    """The error Evaluator.payoff raises on custom amplitudes when every
+    window's operator is spoiled: scaled by 1 + 1e-6 or given a NaN."""
+    real = wiring._window_operator
+
+    def spoiled(window, gates):
+        ops = np.array(real(window, gates))
+        if spoil == "scale":
+            ops *= 1 + 1e-6
+        else:
+            ops[..., 0, 0] = math.nan
+        return ops
+
+    init = random_state(compile_sequence(seq).total_qubits, np.random.default_rng(740))
+    evaluator = payoff.Evaluator(seq, init)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(wiring, "_window_operator", spoiled)
+        try:
+            evaluator.payoff(0.01)
+        except ValueError as exc:
+            return str(exc)
+    return "accepted"
+
+
+@pytest.mark.parametrize("seq", ["B", "AAB" * 3, "AAB" * 6 + "A"])
+@pytest.mark.parametrize("spoil, message", SPOILED_WINDOWS)
+def test_final_norm_is_checked_on_every_dense_evaluation(spoil, message, seq):
+    # "B" is one window, reduced straight from init with no work buffer
+    assert spoiled_payoff(spoil, seq).startswith(message)
+
+
+def test_final_norm_check_holds_under_python_O():
+    # -O strips assert statements; the final norm check must not depend on them
+    src = str(Path(qparrondo.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    code = (
+        f"import sys; sys.path.insert(0, {str(Path(__file__).parent)!r})\n"
+        "from test_payoff import SPOILED_WINDOWS, spoiled_payoff\n"
+        "for spoil, _ in SPOILED_WINDOWS: print(spoiled_payoff(spoil, 'AAB' * 3))\n"
+    )
+    out = subprocess.run([sys.executable, "-O", "-c", code], capture_output=True, text=True,
+                         env=env, timeout=120)
+    assert out.returncode == 0, out.stderr
+    lines = out.stdout.splitlines()
+    assert len(lines) == len(SPOILED_WINDOWS)
+    assert all(line.startswith(message) for line, (_, message) in zip(lines, SPOILED_WINDOWS))
+
+
+MEMORY_QUBITS = 20
+
+
+def traced_peak(f) -> int:
+    """Peak bytes traced while ``f()`` runs."""
+    tracemalloc.start()
+    try:
+        f()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def read_only_evaluator():
+    """A dense Evaluator of a 20-qubit plan on adopted read-only amplitudes."""
+    amps = random_state(MEMORY_QUBITS, np.random.default_rng(750)).amplitudes
+    assert not amps.flags.writeable and amps.flags.owndata
+    evaluator = payoff.Evaluator("AAB" * 6 + "AA", amps)
+    assert evaluator.plan.total_qubits == MEMORY_QUBITS
+    return evaluator, amps.nbytes
+
+
+def test_dense_payoff_allocates_one_work_buffer():
+    # No copy of init and no final state: the work buffer and a few blocks
+    evaluator, state_bytes = read_only_evaluator()
+    assert traced_peak(lambda: evaluator.payoff(0.01)) < 1.25 * state_bytes
+
+
+def test_one_window_dense_payoff_allocates_no_work_buffer(monkeypatch):
+    # A real one-window plan has at most 7 qubits, fewer amplitudes than its
+    # window's operator has entries, so the driver is handed only the last
+    # window of the 20-qubit plan: it then plays nothing, and the reduction
+    # reads init directly.
+    evaluator, state_bytes = read_only_evaluator()
+    windows = wiring._windows
+    monkeypatch.setattr(wiring, "_windows", lambda plan, gates: iter(deque(windows(plan, gates), 1)))
+    assert traced_peak(lambda: evaluator.payoff(0.01)) < 0.1 * state_bytes
 
 
 # --- quantum vs classical on basis inputs ---
