@@ -20,10 +20,11 @@ statevector (at most MAX_QUBITS qubits).  Each evaluation builds the five
 coins of ``coins.games_from_bias`` and hands that one array to the backend.
 
 A dense evaluation plays the windows of ``wiring.play_to_last_window``, whose
-first window reads the initial state, and reduces the products of the last
-window into the payoff as they are made: the final state is never written,
-and its norm is checked, by the StateVector rule, from the reduction's own
-chunk sums.  Its total equals ``payoff_expectation(run(...))``.
+first window reads the initial state into the Evaluator's one work buffer,
+and reduces the products of the last window into the payoff as they are
+made: the final state is never written, and its norm is checked, by the
+StateVector rule, from the reduction's own chunk sums.  Its total equals
+``payoff_expectation(run(...))``.
 """
 from __future__ import annotations
 
@@ -90,13 +91,14 @@ def payoff_expectation(state: StateVector) -> float:
     return _reduce(amps.reshape(-1, min(amps.size, statevector._CHUNK)))[0]
 
 
-def _dense_total(plan, coins: np.ndarray, init: StateVector) -> float:
+def _dense_total(plan, coins: np.ndarray, init: StateVector, work: np.ndarray) -> float:
     """The dense payoff total, ``payoff_expectation(run(plan, coins, init))``
-    without the final state: the last window's product blocks, contiguous
-    runs of the state in order, go straight to the reduction, and the final
-    norm is checked from its chunk sums by ``check_norm``, the StateVector
+    without the final state: the windows before the last are played in the
+    work buffer ``work``, the last window's product blocks, contiguous runs
+    of the state in order, go straight to the reduction, and the final norm
+    is checked from its chunk sums by ``check_norm``, the StateVector
     rule."""
-    state, first, ops = play_to_last_window(plan, coins, init)
+    state, first, ops = play_to_last_window(plan, coins, init, work)
     total, norm_sq = _reduce(
         product.reshape(-1) for _, product in multiplexed_products(state, first, ops)
     )
@@ -126,7 +128,9 @@ class Evaluator:
     ``plan`` is compiled and the backend chosen once: NAMED_STATES take the
     transfer-matrix walk; a StateVector or an amplitude array is validated
     once, here, and takes the dense path, which reads it once per evaluation
-    and checks the final norm of every evaluation.
+    and checks the final norm of every evaluation.  A dense Evaluator keeps
+    one state-sized work buffer for its evaluations, so one Evaluator must
+    not evaluate in two threads at once.
     """
 
     def __init__(self, seq: str, init="ghz"):
@@ -135,7 +139,10 @@ class Evaluator:
             self._total = lambda coins: transfer_total(plan, coins, init)
         else:
             state = initial_state_for(plan, init)
-            self._total = lambda coins: _dense_total(plan, coins, state)
+            # One work buffer for every evaluation: a fresh state-sized array
+            # would be faulted into memory page by page on each of them.
+            work = np.empty_like(state.amplitudes)
+            self._total = lambda coins: _dense_total(plan, coins, state, work)
 
     def payoff(
         self,

@@ -24,9 +24,9 @@ buffer: a 2x2 unitary on a fresh target qubit, picked for game B by the two
 qubits just before the target (the wiring rule of ``wiring``).
 ``wiring.play_to_last_window`` builds each window of consecutive games by
 running apply_gate on a window-sized register of identity columns.  Its first
-window reads the initial state and writes a fresh work buffer, so the initial
-state is read once and never copied, and the five coins are validated once
-with :func:`check_coins`.  The last window's products are written back by
+window reads the initial state and writes a work buffer, so the initial state
+is read once and never copied, and the five coins are validated once with
+:func:`check_coins`.  The last window's products are written back by
 ``wiring.run``, which hands the buffer, made read-only, to the result, or
 reduced straight into the payoff by the dense evaluator in ``payoff``, which
 checks the final norm from the same sums.  apply_gate checks only the

@@ -153,17 +153,21 @@ def _windows(plan: CircuitPlan, gates: dict):
         yield plan.seed_count + end - len(window) + 1 - controls, ops
 
 
-def play_to_last_window(plan: CircuitPlan, coins: np.ndarray, init: StateVector):
+def play_to_last_window(
+    plan: CircuitPlan, coins: np.ndarray, init: StateVector, work: np.ndarray
+) -> tuple[np.ndarray, int, np.ndarray]:
     """The window driver of every dense evaluation: play every window of the
     plan but the last, and return ``(amplitudes, first, ops)``, the state
     before the last window and that window, for the caller to finish with
     ``statevector.multiplexed_products`` or ``apply_multiplexed``.
 
     The coins are checked once, by ``check_coins``.  ``init`` is only read:
-    the first window reads its amplitudes and writes a fresh work buffer,
-    which every later window updates in place, one pass each.  For a
-    one-window plan nothing is played, and the amplitudes returned are
-    ``init``'s own; otherwise they are the work buffer.
+    the first window reads its amplitudes and writes the work buffer
+    ``work``, a writable complex array of the state's length that shares no
+    memory with ``init``, and every later window updates that buffer in
+    place, one pass each.  For a one-window plan nothing is played and
+    ``work`` is not touched: the amplitudes returned are ``init``'s own;
+    otherwise they are ``work``.
     """
     if init.num_qubits != plan.total_qubits:
         raise ValueError(
@@ -173,9 +177,8 @@ def play_to_last_window(plan: CircuitPlan, coins: np.ndarray, init: StateVector)
     windows = _windows(plan, {"A": coins[:1], "B": coins[1:]})
     state, window = init.amplitudes, next(windows)
     for following in windows:
-        buf = np.empty_like(state) if state is init.amplitudes else state
-        apply_multiplexed(buf, *window, src=state)
-        state, window = buf, following
+        apply_multiplexed(work, *window, src=state)
+        state, window = work, following
     return (state, *window)
 
 
@@ -184,15 +187,14 @@ def run(plan: CircuitPlan, coins: np.ndarray, init: StateVector) -> StateVector:
     of ``coins.games_from_bias``: game A tosses ``coins[0]``, game B one of
     ``coins[1:]``.
 
-    The windows are played by ``play_to_last_window``, so ``init`` is left
-    unchanged and read once, by the first window, and the coins are checked
-    once per call.  The last window writes its products back into the work
-    buffer (into a fresh one when it is also the first).  The final
-    amplitudes are validated once and handed, read-only and uncopied, to the
-    returned StateVector.
+    The windows are played by ``play_to_last_window`` in one fresh buffer,
+    so ``init`` is left unchanged and read once, by the first window, and
+    the coins are checked once per call.  The last window writes its
+    products into that buffer too.  The final amplitudes are validated once
+    and handed, read-only and uncopied, to the returned StateVector.
     """
-    state, first, ops = play_to_last_window(plan, coins, init)
-    buf = np.empty_like(state) if state is init.amplitudes else state
+    buf = np.empty_like(init.amplitudes)
+    state, first, ops = play_to_last_window(plan, coins, init, buf)
     apply_multiplexed(buf, first, ops, src=state)
     buf.setflags(write=False)
     return StateVector(plan.total_qubits, buf)

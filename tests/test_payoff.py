@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 import qparrondo
 from qparrondo import payoff, statevector, wiring
 from qparrondo.classical import classical_sequence_payoff
-from qparrondo.coins import PhaseAssignment, su2_matrix
+from qparrondo.coins import PhaseAssignment, games_from_bias, su2_matrix
 from qparrondo.payoff import (
     Evaluator,
     payoff_epsilon_expansion,
@@ -24,7 +24,7 @@ from qparrondo.payoff import (
     sequence_payoff,
 )
 from qparrondo.statevector import StateVector, make_basis_state, make_ghz
-from qparrondo.wiring import compile_sequence, play_to_last_window, run
+from qparrondo.wiring import compile_sequence, initial_state_for, play_to_last_window, run
 
 ATOL = 1e-12
 E2E = 1e-9
@@ -214,27 +214,25 @@ def random_coins(rng):
 )
 def test_dense_total_matches_payoff_of_the_run_state(seq, seed, chunk):
     # 1-14 qubits, seed qubits included, random coins and custom amplitudes;
-    # small blocks send small states through many reduction chunks
+    # small blocks send small states through many reduction chunks.  Two coin
+    # sets share one work buffer, filled with NaN first, as an Evaluator's
+    # evaluations do: nothing may be read from it before it is written.
     rng = np.random.default_rng(seed)
     plan = compile_sequence(seq)
     init = random_state(plan.total_qubits, rng)
-    coins = random_coins(rng)
+    work = np.full_like(init.amplitudes, math.nan)
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(statevector, "_CHUNK", chunk)
-        total = payoff._dense_total(plan, coins, init)
-        want = payoff_expectation(run(plan, coins, init))
-    assert abs(total - want) <= 1e-13
-
-
-def one_window(monkeypatch):
-    """Play every plan of up to _MAX_WINDOW games as one window."""
-    monkeypatch.setattr(wiring, "_window_games", lambda num_qubits: wiring._MAX_WINDOW)
+        for coins in (random_coins(rng), random_coins(rng)):
+            total = payoff._dense_total(plan, coins, init, work)
+            assert abs(total - payoff_expectation(run(plan, coins, init))) <= 1e-13
 
 
 @pytest.mark.parametrize("chunk", [4, 64, 1024, None])
 def test_one_window_plans_reduce_the_initial_state_directly(chunk, monkeypatch):
-    # The first window is also the last: it reads init and reduces it
-    one_window(monkeypatch)
+    # Every plan of up to _MAX_WINDOW games played as one window: the first
+    # window is also the last, so it reads init and reduces it
+    monkeypatch.setattr(wiring, "_window_games", lambda num_qubits: wiring._MAX_WINDOW)
     if chunk is not None:
         monkeypatch.setattr(statevector, "_CHUNK", chunk)
     rng = np.random.default_rng(730)
@@ -245,10 +243,12 @@ def test_one_window_plans_reduce_the_initial_state_directly(chunk, monkeypatch):
             init = random_state(plan.total_qubits, rng)
             before = init.amplitudes.copy()
             coins = random_coins(rng)
-            assert play_to_last_window(plan, coins, init)[0] is init.amplitudes
-            total = payoff._dense_total(plan, coins, init)
+            work = np.full_like(init.amplitudes, math.nan)
+            assert play_to_last_window(plan, coins, init, work)[0] is init.amplitudes
+            total = payoff._dense_total(plan, coins, init, work)
             assert abs(total - payoff_expectation(run(plan, coins, init))) <= 1e-13, seq
             assert np.array_equal(init.amplitudes, before)
+            assert np.isnan(work).all()
 
 
 SPOILED_WINDOWS = [
@@ -318,30 +318,54 @@ def traced_peak(f) -> int:
         tracemalloc.stop()
 
 
-def read_only_evaluator():
-    """A dense Evaluator of a 20-qubit plan on adopted read-only amplitudes."""
+def read_only_amplitudes():
+    """Amplitudes of 20 qubits, read-only and owning their memory, so an
+    Evaluator adopts them without a copy."""
     amps = random_state(MEMORY_QUBITS, np.random.default_rng(750)).amplitudes
     assert not amps.flags.writeable and amps.flags.owndata
-    evaluator = payoff.Evaluator("AAB" * 6 + "AA", amps)
-    assert evaluator.plan.total_qubits == MEMORY_QUBITS
-    return evaluator, amps.nbytes
+    return amps
+
+
+MEMORY_SEQUENCE = "AAB" * 6 + "AA"  # 20 qubits
 
 
 def test_dense_payoff_allocates_one_work_buffer():
-    # No copy of init and no final state: the work buffer and a few blocks
-    evaluator, state_bytes = read_only_evaluator()
-    assert traced_peak(lambda: evaluator.payoff(0.01)) < 1.25 * state_bytes
+    # No copy of init and no final state: the work buffer and a few blocks.
+    # The Evaluator keeps that buffer, so a later evaluation allocates none.
+    amps = read_only_amplitudes()
+    evaluators = []
+    first = traced_peak(lambda: evaluators.append(payoff.Evaluator(MEMORY_SEQUENCE, amps))
+                        or evaluators[0].payoff(0.01))
+    assert evaluators[0].plan.total_qubits == MEMORY_QUBITS
+    assert first < 1.25 * amps.nbytes
+    assert traced_peak(lambda: evaluators[0].payoff(0.02)) < 0.1 * amps.nbytes
 
 
-def test_one_window_dense_payoff_allocates_no_work_buffer(monkeypatch):
+def test_one_window_dense_total_uses_no_work_buffer(monkeypatch):
     # A real one-window plan has at most 7 qubits, fewer amplitudes than its
     # window's operator has entries, so the driver is handed only the last
-    # window of the 20-qubit plan: it then plays nothing, and the reduction
-    # reads init directly.
-    evaluator, state_bytes = read_only_evaluator()
+    # window of the 20-qubit plan.  It then plays nothing: the work buffer
+    # stays unwritten, and the reduction reads init directly.
+    plan = compile_sequence(MEMORY_SEQUENCE)
+    init = initial_state_for(plan, read_only_amplitudes())
+    coins = games_from_bias(0.01)
+    work = np.full_like(init.amplitudes, math.nan)
     windows = wiring._windows
     monkeypatch.setattr(wiring, "_windows", lambda plan, gates: iter(deque(windows(plan, gates), 1)))
-    assert traced_peak(lambda: evaluator.payoff(0.01)) < 0.1 * state_bytes
+    peak = traced_peak(lambda: payoff._dense_total(plan, coins, init, work))
+    assert peak < 0.1 * init.amplitudes.nbytes
+    assert np.isnan(work).all()
+
+
+def test_dense_evaluations_do_not_leak_into_each_other():
+    # The kept work buffer is written before it is read in every evaluation
+    rng = np.random.default_rng(760)
+    init = random_state(compile_sequence("AABBA").total_qubits, rng)
+    evaluator = payoff.Evaluator("AABBA", init)
+    phases = random_phases(rng)
+    values = [evaluator.payoff(eps, phases) for eps in (0.01, -0.02, 0.01)]
+    assert values[0] == values[2] != values[1]
+    assert values[0] == payoff.Evaluator("AABBA", init).payoff(0.01, phases)
 
 
 # --- quantum vs classical on basis inputs ---
