@@ -19,6 +19,13 @@ picks its backend once.  The all-zero and GHZ states, named by the strings
 statevector (at most MAX_QUBITS qubits).  Each evaluation builds the five
 coins of ``coins.games_from_bias`` and hands that one array to the backend.
 
+Dense initial amplitudes are validated once, here, when the Evaluator is
+built, by ``wiring.initial_amplitudes``: a C-contiguous complex128 array is
+checked by the StateVector rule and then read in place by every evaluation,
+never copied and never written; a StateVector is read as the immutable
+snapshot it already is; any other input is converted once into an array
+the Evaluator owns.
+
 A dense evaluation plays the windows of ``wiring.play_to_last_window``, whose
 first window reads the initial state into the Evaluator's one work buffer,
 and reduces the products of the last window into the payoff as they are
@@ -36,7 +43,7 @@ from . import statevector
 from .coins import PhaseAssignment, bias_expansion, games_from_bias
 from .statevector import NAMED_STATES, StateVector, check_norm, multiplexed_products
 from .transfer import transfer_total
-from .wiring import compile_sequence, initial_state_for, play_to_last_window
+from .wiring import compile_sequence, initial_amplitudes, play_to_last_window
 
 
 def _marginal_sum(m: np.ndarray) -> float:
@@ -91,9 +98,10 @@ def payoff_expectation(state: StateVector) -> float:
     return _reduce(amps.reshape(-1, min(amps.size, statevector._CHUNK)))[0]
 
 
-def _dense_total(plan, coins: np.ndarray, init: StateVector, work: np.ndarray) -> float:
-    """The dense payoff total, ``payoff_expectation(run(plan, coins, init))``
-    without the final state: the windows before the last are played in the
+def _dense_total(plan, coins: np.ndarray, init: np.ndarray, work: np.ndarray) -> float:
+    """The dense payoff total of the initial amplitudes ``init``, that is
+    ``payoff_expectation(run(plan, coins, StateVector(n, init)))``, without
+    the final state: the windows before the last are played in the
     work buffer ``work``, the last window's product blocks, contiguous runs
     of the state in order, go straight to the reduction, and the final norm
     is checked from its chunk sums by ``check_norm``, the StateVector
@@ -131,6 +139,13 @@ class Evaluator:
     and checks the final norm of every evaluation.  A dense Evaluator keeps
     one state-sized work buffer for its evaluations, so one Evaluator must
     not evaluate in two threads at once.
+
+    A C-contiguous complex128 array is not copied: every evaluation reads
+    the caller's array, and none writes it.  Do not change it while the
+    Evaluator is in use; pass a StateVector for a snapshot.  A change that
+    breaks the normalization is still rejected by the final norm check.  Any
+    other array (real, non-contiguous or byte-swapped) is converted once into
+    an array of the Evaluator's own.
     """
 
     def __init__(self, seq: str, init="ghz"):
@@ -138,11 +153,11 @@ class Evaluator:
         if isinstance(init, str) and init in NAMED_STATES:
             self._total = lambda coins: transfer_total(plan, coins, init)
         else:
-            state = initial_state_for(plan, init)
+            amps = initial_amplitudes(plan, init)
             # One work buffer for every evaluation: a fresh state-sized array
             # would be faulted into memory page by page on each of them.
-            work = np.empty_like(state.amplitudes)
-            self._total = lambda coins: _dense_total(plan, coins, state, work)
+            work = np.empty_like(amps)
+            self._total = lambda coins: _dense_total(plan, coins, amps, work)
 
     def payoff(
         self,

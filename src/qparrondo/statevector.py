@@ -10,8 +10,11 @@ copied unless the array given is already read-only and owns its memory, and
 validated (shape, finiteness, unit norm) when it is built, the copy rather than
 the caller's array.  The norm check is one dot-product pass that allocates
 nothing, so adopting an array costs no state-sized memory; the named and basis
-states are built read-only and adopted that way.  :func:`check_norm` is that
-rule on its own, for a norm summed elsewhere.
+states are built read-only and adopted that way.  :func:`check_amplitudes`
+is the whole rule on one array, run by StateVector on the array it keeps and
+by the dense evaluator (``wiring.initial_amplitudes``) on a caller's array
+that it reads in place without a copy; :func:`check_norm` is the norm rule on
+its own, for a norm summed elsewhere.
 
 One block kernel does the arithmetic.  :func:`multiplexed_products` applies a
 stack of matrices to consecutive qubits, one matrix for each value of the
@@ -24,12 +27,12 @@ buffer: a 2x2 unitary on a fresh target qubit, picked for game B by the two
 qubits just before the target (the wiring rule of ``wiring``).
 ``wiring.play_to_last_window`` builds each window of consecutive games by
 running apply_gate on a window-sized register of identity columns.  Its first
-window reads the initial state and writes a work buffer, so the initial state
-is read once and never copied, and the five coins are validated once with
-:func:`check_coins`.  The last window's products are written back by
-``wiring.run``, which hands the buffer, made read-only, to the result, or
-reduced straight into the payoff by the dense evaluator in ``payoff``, which
-checks the final norm from the same sums.  apply_gate checks only the
+window reads the initial amplitudes and writes a work buffer, so they are
+read once per evaluation and never copied or written, and the five coins are
+validated once with :func:`check_coins`.  The last window's products are
+written back by ``wiring.run``, which hands the buffer, made read-only, to
+the result, or reduced straight into the payoff by the dense evaluator in
+``payoff``, which checks the final norm from the same sums.  apply_gate checks only the
 target's range and the coin count, the other two kernels nothing: all trust
 their caller for the rest.
 
@@ -70,25 +73,32 @@ class StateVector:
     amplitudes: np.ndarray
 
     def __post_init__(self) -> None:
-        n = self.num_qubits
-        _check_register_size(n)
         amps = np.asarray(self.amplitudes, dtype=complex)
-        if amps.shape != (1 << n,):
-            raise ValueError(
-                f"amplitude array has shape {amps.shape}, expected ({1 << n},) for {n} qubits"
-            )
         # A read-only array that owns its memory cannot change under us; any
         # other is copied first, so the copy is what gets checked and kept.
         if amps.flags.writeable or not amps.flags.owndata:
             amps = amps.copy()
             amps.setflags(write=False)
-        # One pass, no temporaries: the dot product of the interleaved real
-        # and imaginary parts with themselves, a sum of squares that cannot
-        # cancel.  (A complex vdot would turn an infinite amplitude into NaN.)
-        parts = amps.view(np.float64)
-        check_norm(float(np.dot(parts, parts)))
+        check_amplitudes(self.num_qubits, amps)
         object.__setattr__(self, "amplitudes", amps)
-        object.__setattr__(self, "num_qubits", int(n))
+        object.__setattr__(self, "num_qubits", int(self.num_qubits))
+
+
+def check_amplitudes(num_qubits: int, amps: np.ndarray) -> None:
+    """The StateVector rule on a C-contiguous complex128 array: ``num_qubits``
+    within the cap, length 2**num_qubits, finite entries and unit norm.  The
+    array is only read."""
+    n = num_qubits
+    _check_register_size(n)
+    if amps.shape != (1 << n,):
+        raise ValueError(
+            f"amplitude array has shape {amps.shape}, expected ({1 << n},) for {n} qubits"
+        )
+    # One pass, no temporaries: the dot product of the interleaved real and
+    # imaginary parts with themselves, a sum of squares that cannot cancel.
+    # (A complex vdot would turn an infinite amplitude into NaN.)
+    parts = amps.view(np.float64)
+    check_norm(float(np.dot(parts, parts)))
 
 
 def check_norm(norm_sq: float) -> None:

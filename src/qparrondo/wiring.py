@@ -20,9 +20,13 @@ Its operator is one 2**m-square matrix per value of those controls, built by
 ``statevector.apply_gate`` on identity columns, so this rule is written once,
 and applied to the state in one pass of ``statevector.multiplexed_products``.
 ``play_to_last_window`` is the one window driver: it plays every window but
-the last, reading the initial state in the first.  ``run`` writes the last
-window's products back and returns the state; the dense payoff in ``payoff``
-reduces them instead, so it never holds a final state.
+the last, reading the initial amplitudes in the first and never writing them.
+``run`` hands it a StateVector's own amplitudes, writes the last window's
+products back and returns the state.  The dense payoff in ``payoff`` hands it
+the array of ``initial_amplitudes``, which validates a caller's C-contiguous
+complex128 array once and keeps it uncopied (other inputs are converted
+once), and reduces the last window's products instead, so it never holds a
+final state.
 
 For pure-B strings, alternating AB strings and AAB blocks this reproduces
 the standard sliding-window layouts exactly.  For arbitrary mixed strings
@@ -42,6 +46,7 @@ from .statevector import (
     StateVector,
     apply_gate,
     apply_multiplexed,
+    check_amplitudes,
     check_coins,
     make_named_state,
 )
@@ -96,6 +101,18 @@ def initial_state_for(plan: CircuitPlan, kind="zero") -> StateVector:
         # call holds: read-only, the StateVector adopts it without a copy.
         amps.setflags(write=False)
     return StateVector(plan.total_qubits, amps)
+
+
+def initial_amplitudes(plan: CircuitPlan, kind) -> np.ndarray:
+    """The amplitudes a dense evaluation reads, validated once here: a named
+    state's or a StateVector's own; a C-contiguous complex128 array itself,
+    checked by the StateVector rule and never copied; anything else (real
+    or non-contiguous amplitudes, say) converted once into a fresh array."""
+    if isinstance(kind, (str, StateVector)):
+        return initial_state_for(plan, kind).amplitudes
+    amps = np.ascontiguousarray(kind, dtype=complex)
+    check_amplitudes(plan.total_qubits, amps)
+    return amps
 
 
 def _window_games(num_qubits: int) -> int:
@@ -154,28 +171,25 @@ def _windows(plan: CircuitPlan, gates: dict):
 
 
 def play_to_last_window(
-    plan: CircuitPlan, coins: np.ndarray, init: StateVector, work: np.ndarray
+    plan: CircuitPlan, coins: np.ndarray, init: np.ndarray, work: np.ndarray
 ) -> tuple[np.ndarray, int, np.ndarray]:
     """The window driver of every dense evaluation: play every window of the
     plan but the last, and return ``(amplitudes, first, ops)``, the state
     before the last window and that window, for the caller to finish with
     ``statevector.multiplexed_products`` or ``apply_multiplexed``.
 
-    The coins are checked once, by ``check_coins``.  ``init`` is only read:
-    the first window reads its amplitudes and writes the work buffer
-    ``work``, a writable complex array of the state's length that shares no
-    memory with ``init``, and every later window updates that buffer in
-    place, one pass each.  For a one-window plan nothing is played and
-    ``work`` is not touched: the amplitudes returned are ``init``'s own;
-    otherwise they are ``work``.
+    The coins are checked once, by ``check_coins``.  ``init`` is the initial
+    amplitudes, a C-contiguous complex array of the plan's length that the
+    caller has validated (``initial_amplitudes``), and is only read: the
+    first window reads it and writes the work buffer ``work``, a writable
+    complex array of the same length that shares no memory with ``init``,
+    and every later window updates that buffer in place, one pass each.  For
+    a one-window plan nothing is played and ``work`` is not touched: the
+    amplitudes returned are ``init`` itself; otherwise they are ``work``.
     """
-    if init.num_qubits != plan.total_qubits:
-        raise ValueError(
-            f"initial state has {init.num_qubits} qubits, plan needs {plan.total_qubits}"
-        )
     coins = check_coins(coins)
     windows = _windows(plan, {"A": coins[:1], "B": coins[1:]})
-    state, window = init.amplitudes, next(windows)
+    state, window = init, next(windows)
     for following in windows:
         apply_multiplexed(work, *window, src=state)
         state, window = work, following
@@ -193,8 +207,12 @@ def run(plan: CircuitPlan, coins: np.ndarray, init: StateVector) -> StateVector:
     products into that buffer too.  The final amplitudes are validated once
     and handed, read-only and uncopied, to the returned StateVector.
     """
+    if init.num_qubits != plan.total_qubits:
+        raise ValueError(
+            f"initial state has {init.num_qubits} qubits, plan needs {plan.total_qubits}"
+        )
     buf = np.empty_like(init.amplitudes)
-    state, first, ops = play_to_last_window(plan, coins, init, buf)
+    state, first, ops = play_to_last_window(plan, coins, init.amplitudes, buf)
     apply_multiplexed(buf, first, ops, src=state)
     buf.setflags(write=False)
     return StateVector(plan.total_qubits, buf)

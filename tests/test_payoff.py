@@ -16,6 +16,7 @@ import qparrondo
 from qparrondo import payoff, statevector, wiring
 from qparrondo.classical import classical_sequence_payoff
 from qparrondo.coins import PhaseAssignment, games_from_bias, su2_matrix
+from qparrondo.optimize import optimize_phases
 from qparrondo.payoff import (
     Evaluator,
     payoff_epsilon_expansion,
@@ -24,7 +25,7 @@ from qparrondo.payoff import (
     sequence_payoff,
 )
 from qparrondo.statevector import StateVector, make_basis_state, make_ghz
-from qparrondo.wiring import compile_sequence, initial_state_for, play_to_last_window, run
+from qparrondo.wiring import compile_sequence, play_to_last_window, run
 
 ATOL = 1e-12
 E2E = 1e-9
@@ -183,15 +184,21 @@ def test_aab_on_ghz_zero_phase_constant():
 # --- one compiled evaluator ---
 
 def test_evaluator_validates_a_custom_state_once(monkeypatch):
-    built = []
-    real = payoff.initial_state_for
-    monkeypatch.setattr(payoff, "initial_state_for", lambda *args: built.append(1) or real(*args))
-    evaluator = Evaluator("B", init=make_ghz(3).amplitudes)
-    assert evaluator.plan.total_qubits == 3
-    e = evaluator.expansion()
-    assert abs(e.c0 - 1 / 15) < E2E and abs(e.c1) < 1e-6
-    assert abs(evaluator.payoff(0.0, normalize=False) - 0.2) < E2E
-    assert len(built) == 1
+    # One check by the StateVector rule per Evaluator, whether the array is
+    # read in place (complex) or converted first (real)
+    checked = []
+    real = statevector.check_amplitudes
+    for module in (statevector, wiring):
+        monkeypatch.setattr(module, "check_amplitudes", lambda *args: checked.append(1) or real(*args))
+    ghz = np.array(make_ghz(3).amplitudes)
+    for amps in (ghz, ghz.real.copy()):
+        checked.clear()
+        evaluator = Evaluator("B", init=amps)
+        assert evaluator.plan.total_qubits == 3
+        e = evaluator.expansion()
+        assert abs(e.c0 - 1 / 15) < E2E and abs(e.c1) < 1e-6
+        assert abs(evaluator.payoff(0.0, normalize=False) - 0.2) < E2E
+        assert len(checked) == 1
 
 
 # --- the dense total: the last window feeds the payoff reduction ---
@@ -224,7 +231,7 @@ def test_dense_total_matches_payoff_of_the_run_state(seq, seed, chunk):
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(statevector, "_CHUNK", chunk)
         for coins in (random_coins(rng), random_coins(rng)):
-            total = payoff._dense_total(plan, coins, init, work)
+            total = payoff._dense_total(plan, coins, init.amplitudes, work)
             assert abs(total - payoff_expectation(run(plan, coins, init))) <= 1e-13
 
 
@@ -240,14 +247,15 @@ def test_one_window_plans_reduce_the_initial_state_directly(chunk, monkeypatch):
         for k in range(1 << length):
             seq = format(k, f"0{length}b").translate(str.maketrans("01", "AB"))
             plan = compile_sequence(seq)
-            init = random_state(plan.total_qubits, rng)
-            before = init.amplitudes.copy()
+            init = np.array(random_state(plan.total_qubits, rng).amplitudes)
+            before = init.copy()
             coins = random_coins(rng)
-            work = np.full_like(init.amplitudes, math.nan)
-            assert play_to_last_window(plan, coins, init, work)[0] is init.amplitudes
+            work = np.full_like(init, math.nan)
+            assert play_to_last_window(plan, coins, init, work)[0] is init
             total = payoff._dense_total(plan, coins, init, work)
-            assert abs(total - payoff_expectation(run(plan, coins, init))) <= 1e-13, seq
-            assert np.array_equal(init.amplitudes, before)
+            expected = payoff_expectation(run(plan, coins, StateVector(plan.total_qubits, init)))
+            assert abs(total - expected) <= 1e-13, seq
+            assert np.array_equal(init, before)
             assert np.isnan(work).all()
 
 
@@ -288,21 +296,60 @@ def test_final_norm_is_checked_on_every_dense_evaluation(spoil, message, seq):
     assert spoiled_payoff(spoil, seq).startswith(message)
 
 
+# A writable custom state of "AAB" spoiled after it was normalized: (spoil,
+# the message of the check that must reject it when the Evaluator is built).
+SPOILED_STATES = [
+    ("nan", "state has non-finite amplitudes: |psi|^2 = nan"),
+    ("+2e-12", "state is not normalized: |psi|^2 = "),
+    ("-2e-12", "state is not normalized: |psi|^2 = "),
+]
+
+
+def spoiled_state_rejection(spoil: str) -> str:
+    """The error payoff_epsilon_expansion raises on writable GHZ amplitudes
+    given a NaN entry or a norm off by 2e-12, with the evaluations disabled,
+    so that only the Evaluator's check at construction can raise it."""
+    amps = np.array(make_ghz(3).amplitudes)
+    if spoil == "nan":
+        amps[1] = math.nan
+    else:
+        amps[0] = math.sqrt(0.5 + float(spoil))
+
+    def evaluated(*args):
+        raise RuntimeError("the state was evaluated")
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(payoff, "_dense_total", evaluated)
+        try:
+            payoff_epsilon_expansion("AAB", init=amps)
+        except ValueError as exc:
+            return str(exc)
+    return "accepted"
+
+
+@pytest.mark.parametrize("spoil, message", SPOILED_STATES)
+def test_custom_state_is_rejected_at_construction(spoil, message):
+    assert spoiled_state_rejection(spoil).startswith(message)
+
+
 def test_final_norm_check_holds_under_python_O():
-    # -O strips assert statements; the final norm check must not depend on them
+    # -O strips assert statements; the final norm check and the check of a
+    # custom state at construction must not depend on them
     src = str(Path(qparrondo.__file__).resolve().parent.parent)
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
     code = (
         f"import sys; sys.path.insert(0, {str(Path(__file__).parent)!r})\n"
-        "from test_payoff import SPOILED_WINDOWS, spoiled_payoff\n"
+        "from test_payoff import SPOILED_STATES, SPOILED_WINDOWS, spoiled_payoff, spoiled_state_rejection\n"
         "for spoil, _ in SPOILED_WINDOWS: print(spoiled_payoff(spoil, 'AAB' * 3))\n"
+        "for spoil, _ in SPOILED_STATES: print(spoiled_state_rejection(spoil))\n"
     )
     out = subprocess.run([sys.executable, "-O", "-c", code], capture_output=True, text=True,
                          env=env, timeout=120)
     assert out.returncode == 0, out.stderr
     lines = out.stdout.splitlines()
-    assert len(lines) == len(SPOILED_WINDOWS)
-    assert all(line.startswith(message) for line, (_, message) in zip(lines, SPOILED_WINDOWS))
+    expected = SPOILED_WINDOWS + SPOILED_STATES
+    assert len(lines) == len(expected)
+    assert all(line.startswith(message) for line, (_, message) in zip(lines, expected))
 
 
 MEMORY_QUBITS = 20
@@ -319,10 +366,17 @@ def traced_peak(f) -> int:
 
 
 def read_only_amplitudes():
-    """Amplitudes of 20 qubits, read-only and owning their memory, so an
-    Evaluator adopts them without a copy."""
+    """Amplitudes of 20 qubits, read-only and owning their memory."""
     amps = random_state(MEMORY_QUBITS, np.random.default_rng(750)).amplitudes
     assert not amps.flags.writeable and amps.flags.owndata
+    return amps
+
+
+def writable_amplitudes():
+    """Amplitudes of 20 qubits in a writable complex128 array, as a caller
+    usually holds them."""
+    amps = np.array(read_only_amplitudes())
+    assert amps.flags.writeable and amps.flags.owndata
     return amps
 
 
@@ -347,14 +401,44 @@ def test_one_window_dense_total_uses_no_work_buffer(monkeypatch):
     # window of the 20-qubit plan.  It then plays nothing: the work buffer
     # stays unwritten, and the reduction reads init directly.
     plan = compile_sequence(MEMORY_SEQUENCE)
-    init = initial_state_for(plan, read_only_amplitudes())
+    init = read_only_amplitudes()
     coins = games_from_bias(0.01)
-    work = np.full_like(init.amplitudes, math.nan)
+    work = np.full_like(init, math.nan)
     windows = wiring._windows
     monkeypatch.setattr(wiring, "_windows", lambda plan, gates: iter(deque(windows(plan, gates), 1)))
     peak = traced_peak(lambda: payoff._dense_total(plan, coins, init, work))
-    assert peak < 0.1 * init.amplitudes.nbytes
+    assert peak < 0.1 * init.nbytes
     assert np.isnan(work).all()
+
+
+@pytest.mark.parametrize(
+    "entry",
+    [
+        lambda amps: payoff_epsilon_expansion(MEMORY_SEQUENCE, init=amps),
+        lambda amps: sequence_payoff(MEMORY_SEQUENCE, 0.01, init=amps),
+    ],
+    ids=["payoff_epsilon_expansion", "sequence_payoff"],
+)
+def test_dense_entry_points_read_a_writable_state_in_place(entry):
+    # The caller's array is read, not copied: the work buffer and a few
+    # blocks are all that is allocated
+    amps = writable_amplitudes()
+    assert traced_peak(lambda: entry(amps)) < 1.25 * amps.nbytes
+
+
+def test_later_evaluations_of_a_writable_state_allocate_no_state():
+    amps = writable_amplitudes()
+    evaluator = Evaluator(MEMORY_SEQUENCE, amps)
+    evaluator.payoff(0.01)
+    assert traced_peak(lambda: evaluator.payoff(0.02)) < 0.1 * amps.nbytes
+
+
+def test_real_amplitudes_are_converted_once():
+    # One complex conversion that the Evaluator owns, and the work buffer
+    real = writable_amplitudes().real.copy()
+    real /= np.linalg.norm(real)
+    complex_bytes = 2 * real.nbytes
+    assert traced_peak(lambda: payoff_epsilon_expansion(MEMORY_SEQUENCE, init=real)) < 2.25 * complex_bytes
 
 
 def test_dense_evaluations_do_not_leak_into_each_other():
@@ -366,6 +450,54 @@ def test_dense_evaluations_do_not_leak_into_each_other():
     values = [evaluator.payoff(eps, phases) for eps in (0.01, -0.02, 0.01)]
     assert values[0] == values[2] != values[1]
     assert values[0] == payoff.Evaluator("AABBA", init).payoff(0.01, phases)
+
+
+# --- the caller's amplitudes: read in place, never written ---
+
+# Every dense entry point on custom amplitudes.  "AABBA" plays five windows
+# of one game; "B" is one window, reduced straight from the caller's array.
+DENSE_ENTRY_POINTS = {
+    "Evaluator.payoff": lambda seq, amps: Evaluator(seq, amps).payoff(0.01),
+    "Evaluator.expansion": lambda seq, amps: Evaluator(seq, amps).expansion(),
+    "sequence_payoff": lambda seq, amps: sequence_payoff(seq, 0.01, init=amps),
+    "payoff_epsilon_expansion": lambda seq, amps: payoff_epsilon_expansion(seq, init=amps),
+    "optimize_phases": lambda seq, amps: optimize_phases(seq, init=amps, max_sweeps=1),
+}
+
+
+@pytest.mark.parametrize("seq", ["AABBA", "B"])
+@pytest.mark.parametrize("entry", DENSE_ENTRY_POINTS.values(), ids=DENSE_ENTRY_POINTS.keys())
+@pytest.mark.parametrize("writeable", [True, False], ids=["writable", "read-only"])
+def test_dense_entry_points_never_write_the_callers_state(entry, seq, writeable):
+    amps = np.array(random_state(compile_sequence(seq).total_qubits, np.random.default_rng(770)).amplitudes)
+    amps.setflags(write=writeable)
+    before = amps.copy()
+    flags = (amps.flags.writeable, amps.flags.owndata)
+    entry(seq, amps)
+    assert np.array_equal(amps, before)
+    assert (amps.flags.writeable, amps.flags.owndata) == flags
+
+
+def test_evaluator_on_a_state_vector_ignores_writes_to_its_source():
+    rng = np.random.default_rng(780)
+    amps = np.array(random_state(5, rng).amplitudes)
+    evaluator = Evaluator("AABBA", StateVector(5, amps))
+    value = evaluator.payoff(0.01)
+    amps[:] = random_state(5, rng).amplitudes
+    assert evaluator.payoff(0.01) == value
+    assert Evaluator("AABBA", amps).payoff(0.01) != value
+
+
+@pytest.mark.parametrize("seq", ["AABBA", "B"])
+def test_evaluator_rejects_a_raw_state_scaled_after_construction(seq):
+    # The raw array is read at every evaluation, and the final norm check
+    # rejects a change to it that breaks the normalization
+    amps = np.array(random_state(compile_sequence(seq).total_qubits, np.random.default_rng(790)).amplitudes)
+    evaluator = Evaluator(seq, amps)
+    evaluator.payoff(0.01)
+    amps *= 1 + 1e-6
+    with pytest.raises(ValueError, match=r"^state is not normalized: \|psi\|\^2 = "):
+        evaluator.payoff(0.01)
 
 
 # --- quantum vs classical on basis inputs ---

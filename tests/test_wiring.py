@@ -5,7 +5,7 @@ import pytest
 
 from qparrondo.coins import PhaseAssignment, games_from_bias
 from qparrondo.statevector import make_basis_state, make_ghz
-from qparrondo.wiring import compile_sequence, initial_state_for, run
+from qparrondo.wiring import compile_sequence, initial_amplitudes, initial_state_for, run
 
 ATOL = 1e-12
 
@@ -132,7 +132,57 @@ def test_initial_state_rejects_bad_kind():
         initial_state_for(compile_sequence("A"), "vacuum")
 
 
+@pytest.mark.parametrize("writeable", [True, False], ids=["writable", "read-only"])
+def test_initial_amplitudes_read_a_complex_array_in_place(writeable):
+    plan = compile_sequence("AB")
+    amps = np.array(make_ghz(3).amplitudes)
+    amps.setflags(write=writeable)
+    assert initial_amplitudes(plan, amps) is amps
+    state = make_ghz(3)
+    assert initial_amplitudes(plan, state) is state.amplitudes
+
+
+@pytest.mark.parametrize(
+    "convert",
+    [
+        lambda amps: amps.real.copy(),
+        lambda amps: amps.astype(amps.dtype.newbyteorder()),
+        lambda amps: np.repeat(amps, 2)[::2],
+        lambda amps: amps.tolist(),
+    ],
+    ids=["float64", "byte-swapped", "strided", "list"],
+)
+def test_initial_amplitudes_convert_other_inputs_once(convert):
+    plan = compile_sequence("AB")
+    ghz = make_ghz(3).amplitudes
+    given = convert(np.array(ghz))
+    amps = initial_amplitudes(plan, given)
+    assert amps.dtype == complex and amps.flags.c_contiguous and amps.flags.owndata
+    assert not np.shares_memory(amps, ghz) and np.array_equal(amps, ghz)
+
+
+@pytest.mark.parametrize(
+    "kind, message",
+    [
+        (np.ones(8, dtype=complex), "not normalized"),
+        (np.ones(4, dtype=complex) / 2, "shape"),
+        (make_ghz(2), "plan needs"),
+        ("vacuum", "kind"),
+    ],
+)
+def test_initial_amplitudes_reject_what_initial_state_for_rejects(kind, message):
+    plan = compile_sequence("AB")
+    for build in (initial_amplitudes, initial_state_for):
+        with pytest.raises(ValueError, match=message):
+            build(plan, kind)
+
+
 # --- execution ---
+
+def test_run_rejects_a_state_of_another_width():
+    with pytest.raises(ValueError, match="initial state has 2 qubits, plan needs 3"):
+        run(compile_sequence("AB"), games_from_bias(0.0), make_ghz(2))
+
 
 def test_run_single_b_from_all_zero():
     plan = compile_sequence("B")
