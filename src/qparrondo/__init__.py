@@ -17,7 +17,6 @@ from .classical import (
     classical_sequence_expansion,
     classical_sequence_payoff,
     classical_sequence_total,
-    monte_carlo_sequence_payoff,
     paradox_threshold,
     sequence_threshold,
     stationary_distribution,
@@ -38,14 +37,9 @@ from .payoff import (
     per_qubit,
     sequence_payoff,
 )
-from .statevector import (
-    MAX_QUBITS,
-    StateVector,
-    make_basis_state,
-    make_ghz,
-)
+from .statevector import MAX_QUBITS, StateVector, make_basis_state
 from .table import build_table
-from .wiring import CircuitPlan, compile_sequence, initial_state_for, run
+from .wiring import CircuitPlan, compile_sequence, run
 
 __all__ = [
     "CircuitPlan",
@@ -69,11 +63,8 @@ __all__ = [
     "classical_sequence_total",
     "compile_sequence",
     "games_from_bias",
-    "initial_state_for",
     "lose_prob_to_theta",
     "make_basis_state",
-    "make_ghz",
-    "monte_carlo_sequence_payoff",
     "optimize_phases",
     "paradox_threshold",
     "payoff_epsilon_expansion",

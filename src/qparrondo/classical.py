@@ -193,34 +193,6 @@ def classical_sequence_expansion(
     return bias_expansion(value)
 
 
-def monte_carlo_sequence_payoff(
-    seq: str,
-    e: float = 0.0,
-    trials: int = 100_000,
-    seed: int | None = None,
-) -> tuple[float, float]:
-    """Simulated per-qubit payoff with uniform seeds: (mean, standard error).
-
-    Sanity harness for the exact enumeration, not a precision tool.  The
-    standard error needs at least two trials.
-    """
-    if trials < 2:
-        raise ValueError(f"trials={trials!r} must be at least 2")
-    plan = compile_sequence(seq)
-    rng = np.random.default_rng(seed)
-    chains = {token: _chain(win) for token, win in _game_wins(lose_probs(e)).items()}
-    hist = rng.integers(0, 4, size=trials)
-    payoff = _PREVIOUS_PAYOFF[2 - plan.seed_count :].sum(axis=0)[hist]
-    for token in plan.tokens:
-        # Inverse-CDF draw of the next history from row ``hist`` of the chain.
-        cdf = np.cumsum(chains[token].transition, axis=1)[hist, :3]
-        hist = (cdf < rng.random((trials, 1))).sum(axis=1)
-        payoff = payoff + _PREVIOUS_PAYOFF[1, hist]
-
-    samples = payoff / plan.total_qubits
-    return float(samples.mean()), float(samples.std(ddof=1) / np.sqrt(trials))
-
-
 _BISECTION_TOL = 1e-10
 
 

@@ -42,7 +42,7 @@ from .coins import PhaseAssignment, bias_expansion
 from .optimize import optimize_phases
 from .payoff import Evaluator, per_qubit
 from .statevector import NAMED_STATES
-from .table import TABLE_COLUMNS, build_table
+from .table import build_table
 
 
 def _sig9(value):
@@ -56,13 +56,13 @@ def _sig9(value):
     return value
 
 
-def _emit(data, fmt: str, out: str | None, columns=None) -> None:
+def _emit(data, fmt: str, out: str | None) -> None:
     data = _sig9(data)
     if fmt == "json":
         text = json.dumps(data, indent=2, allow_nan=False) + "\n"
     else:
         rows = data if isinstance(data, list) else [data]
-        cols = list(columns) if columns else list(rows[0].keys())
+        cols = list(rows[0].keys())
         buf = io.StringIO()
         writer = csv.writer(buf, lineterminator="\n")
         writer.writerow(cols)
@@ -130,21 +130,26 @@ def _load_init(init: str):
     return amps
 
 
-def _validated(body):
-    try:
-        body()
-    except ValueError as exc:
-        click.echo(f"error: {exc}", err=True)
-        sys.exit(3)
-
-
 format_option = click.option(
     "--format", "fmt", type=click.Choice(["json", "csv"]), default="json", show_default=True
 )
 out_option = click.option("--out", type=click.Path(dir_okay=False), default=None)
 
 
-@click.group()
+class _Main(click.Group):
+    """The command group, and the one error boundary of every command: an
+    input value that fails validation (ValueError) prints one ``error:``
+    line and exits with code 3."""
+
+    def invoke(self, ctx):
+        try:
+            return super().invoke(ctx)
+        except ValueError as exc:
+            click.echo(f"error: {exc}", err=True)
+            sys.exit(3)
+
+
+@click.group(cls=_Main)
 def main():
     """History-dependent quantum Parrondo games: simulate and analyze."""
 
@@ -159,36 +164,32 @@ def main():
 @out_option
 def cmd_payoff(sequence, init, eps, phases_path, normalized, fmt, out):
     """Simulate one sequence and report its payoff and bias expansion."""
+    phases = _load_phases(phases_path)
+    evaluator = Evaluator(sequence, _load_init(init))
+    qubits = evaluator.plan.total_qubits
+    total = evaluator.payoff(eps, phases, normalize=False)
 
-    def body():
-        phases = _load_phases(phases_path)
-        evaluator = Evaluator(sequence, _load_init(init))
-        qubits = evaluator.plan.total_qubits
-        total = evaluator.payoff(eps, phases, normalize=False)
+    def value(e: float) -> float:
+        # Each distinct bias is evaluated once: at --eps 0, c0 reuses total.
+        t = total if e == eps else evaluator.payoff(e, phases, normalize=False)
+        return per_qubit(t, qubits) if normalized else t
 
-        def value(e: float) -> float:
-            # Each distinct bias is evaluated once: at --eps 0, c0 reuses total.
-            t = total if e == eps else evaluator.payoff(e, phases, normalize=False)
-            return per_qubit(t, qubits) if normalized else t
-
-        c0, c1 = bias_expansion(value)
-        _emit(
-            {
-                "sequence": sequence,
-                "qubits": qubits,
-                "init": init,
-                "eps": eps,
-                "per_qubit": normalized,
-                "payoff_total": total,
-                "payoff_per_qubit": per_qubit(total, qubits),
-                "c0": c0,
-                "c1": c1,
-            },
-            fmt,
-            out,
-        )
-
-    _validated(body)
+    c0, c1 = bias_expansion(value)
+    _emit(
+        {
+            "sequence": sequence,
+            "qubits": qubits,
+            "init": init,
+            "eps": eps,
+            "per_qubit": normalized,
+            "payoff_total": total,
+            "payoff_per_qubit": per_qubit(total, qubits),
+            "c0": c0,
+            "c1": c1,
+        },
+        fmt,
+        out,
+    )
 
 
 @main.command("table1")
@@ -197,11 +198,7 @@ def cmd_payoff(sequence, init, eps, phases_path, normalized, fmt, out):
 @out_option
 def cmd_table1(repetitions, fmt, out):
     """Reproduce the reference payoff table (classical and quantum columns)."""
-
-    def body():
-        _emit(build_table(repetitions), fmt, out, columns=TABLE_COLUMNS)
-
-    _validated(body)
+    _emit(build_table(repetitions), fmt, out)
 
 
 @main.command("optimize")
@@ -214,32 +211,28 @@ def cmd_table1(repetitions, fmt, out):
 @out_option
 def cmd_optimize(sequence, init, eps, direction, max_sweeps, fmt, out):
     """Search phase angles for the extremal per-qubit payoff."""
-
-    def body():
-        result = optimize_phases(sequence, _load_init(init), eps, direction, max_sweeps=max_sweeps)
-        phases = result.best_phases
-        _emit(
-            {
-                "sequence": sequence,
-                "init": init,
-                "eps": eps,
-                "direction": direction,
-                "best_value": result.best_value,
-                "best_phases": {
-                    "gamma": phases.gamma,
-                    "delta": phases.delta,
-                    "alphas": list(phases.alphas),
-                    "betas": list(phases.betas),
-                },
-                "converged": result.converged,
-                "evaluations": result.evaluations,
-                "flat_objective": abs(result.best_value - result.trace[0]) < 1e-9,
+    result = optimize_phases(sequence, _load_init(init), eps, direction, max_sweeps=max_sweeps)
+    phases = result.best_phases
+    _emit(
+        {
+            "sequence": sequence,
+            "init": init,
+            "eps": eps,
+            "direction": direction,
+            "best_value": result.best_value,
+            "best_phases": {
+                "gamma": phases.gamma,
+                "delta": phases.delta,
+                "alphas": list(phases.alphas),
+                "betas": list(phases.betas),
             },
-            fmt,
-            out,
-        )
-
-    _validated(body)
+            "converged": result.converged,
+            "evaluations": result.evaluations,
+            "flat_objective": abs(result.best_value - result.trace[0]) < 1e-9,
+        },
+        fmt,
+        out,
+    )
 
 
 @main.command("classical")
@@ -258,63 +251,59 @@ def cmd_optimize(sequence, init, eps, direction, max_sweeps, fmt, out):
 @out_option
 def cmd_classical(mode, sequence, policy, mix_q, eps, seeds, fmt, out):
     """Exact classical game analysis: enumeration, stationary play, thresholds."""
-
-    def body():
-        if mode == "sequence":
-            if sequence is None:
-                raise ValueError("mode 'sequence' needs --sequence")
-            seed_arg = seeds if seeds == "uniform" else tuple(int(c) for c in seeds)
-            total, plan = classical_sequence_total(sequence, eps, seed_arg)
-            c0, c1 = classical_sequence_expansion(sequence, seed_arg)
-            _emit(
-                {
-                    "mode": mode,
-                    "sequence": sequence,
-                    "eps": eps,
-                    "seeds": seeds,
-                    "qubits": plan.total_qubits,
-                    "payoff_total": total,
-                    "payoff_per_qubit": total / plan.total_qubits,
-                    "c0": c0,
-                    "c1": c1,
-                },
-                fmt,
-                out,
-            )
-        elif mode == "stationary":
-            if policy is None:
-                raise ValueError("mode 'stationary' needs --policy")
-            _emit(
-                {
-                    "mode": mode,
-                    "policy": policy,
-                    "mix_q": mix_q if policy == "mix" else None,
-                    "eps": eps,
-                    "payoff_per_game": stationary_payoff(policy, eps, mix_q),
-                },
-                fmt,
-                out,
-            )
-        else:
-            if sequence is not None and policy is not None:
-                raise ValueError("mode 'threshold' takes --sequence or --policy, not both")
-            if sequence is not None:
-                target, threshold = sequence, sequence_threshold(sequence)
-            elif policy is not None:
-                target, threshold = policy, paradox_threshold(policy, q=mix_q)
-            else:
-                raise ValueError("mode 'threshold' needs --sequence or --policy")
-            report = {
+    if mode == "sequence":
+        if sequence is None:
+            raise ValueError("mode 'sequence' needs --sequence")
+        seed_arg = seeds if seeds == "uniform" else tuple(int(c) for c in seeds)
+        total, plan = classical_sequence_total(sequence, eps, seed_arg)
+        c0, c1 = classical_sequence_expansion(sequence, seed_arg)
+        _emit(
+            {
                 "mode": mode,
-                "target": target,
-                "mix_q": mix_q if target == "mix" else None,
-                "threshold": threshold,
-            }
-            if threshold is None:
-                report["note"] = "no sign change on the search interval"
-            _emit(report, fmt, out)
-
-    _validated(body)
+                "sequence": sequence,
+                "eps": eps,
+                "seeds": seeds,
+                "qubits": plan.total_qubits,
+                "payoff_total": total,
+                "payoff_per_qubit": total / plan.total_qubits,
+                "c0": c0,
+                "c1": c1,
+            },
+            fmt,
+            out,
+        )
+    elif mode == "stationary":
+        if policy is None:
+            raise ValueError("mode 'stationary' needs --policy")
+        _emit(
+            {
+                "mode": mode,
+                "policy": policy,
+                "mix_q": mix_q if policy == "mix" else None,
+                "eps": eps,
+                "payoff_per_game": stationary_payoff(policy, eps, mix_q),
+            },
+            fmt,
+            out,
+        )
+    else:
+        if sequence is not None and policy is not None:
+            raise ValueError("mode 'threshold' takes --sequence or --policy, not both")
+        if sequence is not None:
+            target, threshold = sequence, sequence_threshold(sequence)
+        elif policy is not None:
+            target, threshold = policy, paradox_threshold(policy, q=mix_q)
+        else:
+            raise ValueError("mode 'threshold' needs --sequence or --policy")
+        report = {
+            "mode": mode,
+            "target": target,
+            "mix_q": mix_q if target == "mix" else None,
+            "threshold": threshold,
+        }
+        if threshold is None:
+            report["note"] = "no sign change on the search interval"
+        _emit(report, fmt, out)
 
 
 if __name__ == "__main__":

@@ -16,8 +16,8 @@ The two games are five such coins in one (5, 2, 2) array, the output of
 ``games_from_bias``.  Coin 0 is game A's.  Coins 1-4 are game B's, one per
 two-game history: coin 1 + ((older << 1) | newer), with 0 = lost and 1 = won,
 so (lost,lost), (lost,won), (won,lost), (won,won) in turn.  That is the index
-the gate kernel and the classical ``HistoryChain`` read.  Every backend takes
-this array and checks it once with ``statevector.check_coins``.
+the gate kernel and the classical ``HistoryChain`` read.  Built from checked,
+finite angles, every coin is SU(2) by construction.
 
 Both games are fixed by five lose probabilities in that order, ``BASE_LOSE``
 = (1/2, 1/10, 3/4, 3/4, 3/10) raised by the bias eps.  ``lose_probs(eps)`` is

@@ -15,22 +15,16 @@ c1*eps, with c1 the central difference of ``coins.bias_expansion``.
 ``Evaluator`` is the one selection point: it compiles a sequence once and
 picks its backend once.  The all-zero and GHZ states, named by the strings
 "zero" and "ghz", take the linear-time transfer-matrix walk of ``transfer``
-(any sequence length); a StateVector or an amplitude array takes the dense
-statevector (at most MAX_QUBITS qubits).  Each evaluation builds the five
-coins of ``coins.games_from_bias`` and hands that one array to the backend.
+(any sequence length); a StateVector or amplitudes take the dense
+statevector (at most MAX_QUBITS qubits), validated once, when the Evaluator
+is built, by ``wiring.initial_amplitudes``.  Each evaluation builds the five
+coins of ``coins.games_from_bias``, SU(2) by construction, and hands that one
+array, unchecked, to the backend; both backends check the final norm.
 
-Dense initial amplitudes are validated once, here, when the Evaluator is
-built, by ``wiring.initial_amplitudes``: a C-contiguous complex128 array is
-checked by the StateVector rule and then read in place by every evaluation,
-never copied and never written; a StateVector is read as the immutable
-snapshot it already is; any other input is converted once into an array
-the Evaluator owns.
-
-A dense evaluation plays the windows of ``wiring.play_to_last_window``, whose
-first window reads the initial state into the Evaluator's one work buffer,
-and reduces the products of the last window into the payoff as they are
-made: the final state is never written, and its norm is checked, by the
-StateVector rule, from the reduction's own chunk sums.  Its total equals
+A dense evaluation reduces the products of the last window of
+``wiring.play_to_last_window`` into the payoff as they are made: the final
+state is never written, and its norm is checked, by the StateVector rule,
+from the reduction's own chunk sums.  Its total equals
 ``payoff_expectation(run(...))``.
 """
 from __future__ import annotations
@@ -42,7 +36,7 @@ import numpy as np
 from . import statevector
 from .coins import PhaseAssignment, bias_expansion, games_from_bias
 from .statevector import NAMED_STATES, StateVector, check_norm, multiplexed_products
-from .transfer import transfer_total
+from .transfer import walk_total
 from .wiring import compile_sequence, initial_amplitudes, play_to_last_window
 
 
@@ -134,9 +128,9 @@ class Evaluator:
     """The payoff of one sequence on one initial state, at any bias and phases.
 
     ``plan`` is compiled and the backend chosen once: NAMED_STATES take the
-    transfer-matrix walk; a StateVector or an amplitude array is validated
-    once, here, and takes the dense path, which reads it once per evaluation
-    and checks the final norm of every evaluation.  A dense Evaluator keeps
+    transfer-matrix walk; a StateVector or amplitudes are validated once,
+    here, and take the dense path, which reads them once per evaluation.
+    Both check the final norm of every evaluation.  A dense Evaluator keeps
     one state-sized work buffer for its evaluations, so one Evaluator must
     not evaluate in two threads at once.
 
@@ -151,7 +145,7 @@ class Evaluator:
     def __init__(self, seq: str, init="ghz"):
         self.plan = plan = compile_sequence(seq)
         if isinstance(init, str) and init in NAMED_STATES:
-            self._total = lambda coins: transfer_total(plan, coins, init)
+            self._total = lambda coins: walk_total(plan, coins, init)
         else:
             amps = initial_amplitudes(plan, init)
             # One work buffer for every evaluation: a fresh state-sized array

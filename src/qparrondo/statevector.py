@@ -7,14 +7,13 @@ qubits the label "110" is basis index 6.  This makes a state written
 
 States are immutable at the API: a StateVector holds read-only amplitudes,
 copied unless the array given is already read-only and owns its memory, and
-validated (shape, finiteness, unit norm) when it is built, the copy rather than
-the caller's array.  The norm check is one dot-product pass that allocates
-nothing, so adopting an array costs no state-sized memory; the named and basis
-states are built read-only and adopted that way.  :func:`check_amplitudes`
-is the whole rule on one array, run by StateVector on the array it keeps and
-by the dense evaluator (``wiring.initial_amplitudes``) on a caller's array
-that it reads in place without a copy; :func:`check_norm` is the norm rule on
-its own, for a norm summed elsewhere.
+validated when it is built, the copy rather than the caller's array.  The
+checks of the engine's inputs live here, each written once:
+:func:`check_amplitudes` is the StateVector rule on one array (register size,
+length, finite entries, unit norm, in one pass that allocates nothing),
+:func:`check_norm` its norm rule on its own, for a norm summed elsewhere, and
+:func:`check_coins` the rule of a five-coin array.  The named and basis
+states are built read-only and adopted without a copy.
 
 One block kernel does the arithmetic.  :func:`multiplexed_products` applies a
 stack of matrices to consecutive qubits, one matrix for each value of the
@@ -24,17 +23,9 @@ block-sized array, so a large state passes through memory once per window.
 :func:`apply_multiplexed` writes those products into a writable buffer, in
 place or from a separate source, and :func:`apply_gate` is one game on a
 buffer: a 2x2 unitary on a fresh target qubit, picked for game B by the two
-qubits just before the target (the wiring rule of ``wiring``).
-``wiring.play_to_last_window`` builds each window of consecutive games by
-running apply_gate on a window-sized register of identity columns.  Its first
-window reads the initial amplitudes and writes a work buffer, so they are
-read once per evaluation and never copied or written, and the five coins are
-validated once with :func:`check_coins`.  The last window's products are
-written back by ``wiring.run``, which hands the buffer, made read-only, to
-the result, or reduced straight into the payoff by the dense evaluator in
-``payoff``, which checks the final norm from the same sums.  apply_gate checks only the
-target's range and the coin count, the other two kernels nothing: all trust
-their caller for the rest.
+qubits just before the target (the wiring rule of ``wiring``).  apply_gate
+checks only the target's range and the coin count, the other two kernels
+nothing: all trust their caller for the rest.
 
 The named initial states live in one table, NAMED_STATES, which the dense
 states here, the transfer walk, the evaluator and the CLI all read.
@@ -89,7 +80,7 @@ def check_amplitudes(num_qubits: int, amps: np.ndarray) -> None:
     within the cap, length 2**num_qubits, finite entries and unit norm.  The
     array is only read."""
     n = num_qubits
-    _check_register_size(n)
+    check_register_size(n)
     if amps.shape != (1 << n,):
         raise ValueError(
             f"amplitude array has shape {amps.shape}, expected ({1 << n},) for {n} qubits"
@@ -145,7 +136,8 @@ def check_coins(coins: np.ndarray) -> np.ndarray:
     return c
 
 
-def _check_register_size(num_qubits: int) -> None:
+def check_register_size(num_qubits: int) -> None:
+    """``num_qubits`` is a positive integer within the MAX_QUBITS cap."""
     if not isinstance(num_qubits, (int, np.integer)) or num_qubits < 1:
         raise ValueError(f"num_qubits must be a positive integer, got {num_qubits!r}")
     if num_qubits > MAX_QUBITS:
@@ -154,7 +146,7 @@ def _check_register_size(num_qubits: int) -> None:
 
 def make_basis_state(num_qubits: int, label: str) -> StateVector:
     """Computational basis state |label>, with label[0] the qubit-1 (MSB) bit."""
-    _check_register_size(num_qubits)
+    check_register_size(num_qubits)
     if len(label) != num_qubits:
         raise ValueError(f"label {label!r} has length {len(label)}, expected {num_qubits}")
     if any(ch not in "01" for ch in label):
@@ -171,17 +163,12 @@ def make_named_state(num_qubits: int, name: str) -> StateVector:
         raise ValueError(
             f"unknown initial-state kind {name!r}; the named states are {tuple(NAMED_STATES)}"
         )
-    _check_register_size(num_qubits)
+    check_register_size(num_qubits)
     weights = NAMED_STATES[name]
     amps = np.zeros(1 << num_qubits, dtype=complex)
     amps[[0, -1][: len(weights)]] = weights
     amps.setflags(write=False)  # adopted by the StateVector without a copy
     return StateVector(num_qubits, amps)
-
-
-def make_ghz(num_qubits: int) -> StateVector:
-    """Maximally entangled state (|00...0> + |11...1>) / sqrt(2)."""
-    return make_named_state(num_qubits, "ghz")
 
 
 # Amplitudes per block of :func:`multiplexed_products`: a block and its
@@ -253,10 +240,10 @@ def apply_gate(buf: np.ndarray, target: int, coins: np.ndarray) -> None:
 
     One coin is game A: ``coins[0]`` acts on the target.  Four are game B:
     the two qubits just before the target, read as ``(older << 1) | newer``,
-    pick ``coins[c]``, and those two qubits are never altered.  ``wiring.run``
+    pick ``coins[c]``, and those two qubits are never altered.  ``wiring``
     passes slices of the five-coin array, ``coins[:1]`` or ``coins[1:]``.
     ``buf`` is a writable C-contiguous complex array of length 2**n; every
-    coin must already have passed :func:`check_unitary2`.
+    coin must be unitary, as :func:`check_unitary2` requires.
     """
     n = buf.size.bit_length() - 1
     if len(coins) not in (1, 4):

@@ -75,17 +75,3 @@ def build_table(repetitions: int = 4) -> list[dict]:
         rows.append(row)
     return rows
 
-
-TABLE_COLUMNS = (
-    "label",
-    "sequence",
-    "qubits",
-    "classical_c0",
-    "classical_c1",
-    "quantum_c0",
-    "quantum_c1",
-    "quantum_min_c0",
-    "quantum_min_c1",
-    "quantum_max_c0",
-    "quantum_max_c1",
-)

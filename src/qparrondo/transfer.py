@@ -6,9 +6,8 @@ the amplitude of an outcome y is therefore a product of one factor per qubit,
 <y_q| U_q(y_{q-2}, y_{q-1}) |x_q>: a matrix product state whose bond is the
 last two outcome bits.  A seed qubit's factor is <y_q|x_q>, game A's does not
 depend on the controls, and game B's picks its coin by them: the factors are
-read off the five-coin array of ``coins.games_from_bias``, checked once by
-``statevector.check_coins`` as ``wiring.run`` checks it.  The GHZ state
-is the sum of the two branches x = 0...0 and x = 1...1, each weighted
+read off the five-coin array of ``coins.games_from_bias``.  The GHZ state is
+the sum of the two branches x = 0...0 and x = 1...1, each weighted
 1/sqrt(2); the all-zero state is the first branch alone.  The weights are
 those of ``statevector.NAMED_STATES``, the dense states' table.
 
@@ -17,8 +16,11 @@ that chain qubit by qubit.  For each ordered pair of input branches (b, b')
 the walk carries two 2x2 arrays over (y_{q-1}, y_q): W, the sum over the
 earlier outcome bits of conj(amp_b) * amp_b', and S, the same sum weighted by
 the payoff of those outcomes.  A sequence of any length costs O(len(seq))
-time and O(1) memory.  The dense engine (``wiring.run``) stays the reference
-and the only path for custom amplitudes.
+time and O(1) memory.
+
+``transfer_total`` checks a caller's state name and coins, then runs the
+walk, ``walk_total``, which trusts its inputs and checks the carried norm at
+the end.
 """
 from __future__ import annotations
 
@@ -36,17 +38,20 @@ _SEED = np.eye(2)[:, None, None, :]
 
 def transfer_total(plan: CircuitPlan, coins: np.ndarray, kind: str) -> float:
     """Exact total payoff of ``plan`` on the ``kind`` ("zero" or "ghz") state,
-    with the five coins of ``coins.games_from_bias``.
-
-    Runs the coin check of ``wiring.run`` and, at the end, requires the
-    carried norm to be 1 within STRUCTURAL_TOL, the bound a StateVector
-    enforces; raises ValueError otherwise.
-    """
+    with the five coins of ``coins.games_from_bias``: ``walk_total`` on the
+    state name and the coins, both checked here (``check_coins``)."""
     if not isinstance(kind, str) or kind not in NAMED_STATES:
         raise ValueError(
             f"no transfer-matrix walk for initial state {kind!r}; use {tuple(NAMED_STATES)}"
         )
-    coins = check_coins(coins)
+    return walk_total(plan, check_coins(coins), kind)
+
+
+def walk_total(plan: CircuitPlan, coins: np.ndarray, kind: str) -> float:
+    """The walk of ``transfer_total`` on a name in NAMED_STATES and a checked
+    (5, 2, 2) complex coin array.  At the end it requires the carried norm to
+    be 1 within STRUCTURAL_TOL, the bound a StateVector enforces, and raises
+    ValueError otherwise."""
     # Input-branch amplitudes: branch b starts every qubit in |b>.
     amps = np.array(NAMED_STATES[kind])
     n_branches = len(amps)

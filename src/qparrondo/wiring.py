@@ -21,12 +21,11 @@ Its operator is one 2**m-square matrix per value of those controls, built by
 and applied to the state in one pass of ``statevector.multiplexed_products``.
 ``play_to_last_window`` is the one window driver: it plays every window but
 the last, reading the initial amplitudes in the first and never writing them.
-``run`` hands it a StateVector's own amplitudes, writes the last window's
-products back and returns the state.  The dense payoff in ``payoff`` hands it
-the array of ``initial_amplitudes``, which validates a caller's C-contiguous
-complex128 array once and keeps it uncopied (other inputs are converted
-once), and reduces the last window's products instead, so it never holds a
-final state.
+
+Each engine input enters once.  ``initial_amplitudes`` turns a caller's
+initial state (a name, a StateVector or amplitudes) into the amplitudes the
+driver reads, validated once; ``run`` checks a caller's coins with
+``statevector.check_coins``.  The driver trusts both.
 
 For pure-B strings, alternating AB strings and AAB blocks this reproduces
 the standard sliding-window layouts exactly.  For arbitrary mixed strings
@@ -48,6 +47,7 @@ from .statevector import (
     apply_multiplexed,
     check_amplitudes,
     check_coins,
+    check_register_size,
     make_named_state,
 )
 
@@ -85,33 +85,29 @@ def compile_sequence(seq: str) -> CircuitPlan:
     return CircuitPlan(0 if first_b < 0 else max(0, 2 - first_b), tokens)
 
 
-def initial_state_for(plan: CircuitPlan, kind="zero") -> StateVector:
-    """Initial state for a plan: a name in NAMED_STATES or custom amplitudes."""
-    if isinstance(kind, str):
-        return make_named_state(plan.total_qubits, kind)
-    if isinstance(kind, StateVector):
-        if kind.num_qubits != plan.total_qubits:
-            raise ValueError(
-                f"custom state has {kind.num_qubits} qubits, plan needs {plan.total_qubits}"
-            )
-        return kind
-    amps = np.asarray(kind, dtype=complex)
-    if not np.may_share_memory(amps, kind):
-        # Converting (real amplitudes, say) made a fresh array that only this
-        # call holds: read-only, the StateVector adopts it without a copy.
-        amps.setflags(write=False)
-    return StateVector(plan.total_qubits, amps)
+def initial_amplitudes(plan: CircuitPlan, init) -> np.ndarray:
+    """The amplitudes a dense evaluation reads for the initial state ``init``:
+    a name in NAMED_STATES, a StateVector, or amplitudes.
 
-
-def initial_amplitudes(plan: CircuitPlan, kind) -> np.ndarray:
-    """The amplitudes a dense evaluation reads, validated once here: a named
-    state's or a StateVector's own; a C-contiguous complex128 array itself,
-    checked by the StateVector rule and never copied; anything else (real
-    or non-contiguous amplitudes, say) converted once into a fresh array."""
-    if isinstance(kind, (str, StateVector)):
-        return initial_state_for(plan, kind).amplitudes
-    amps = np.ascontiguousarray(kind, dtype=complex)
-    check_amplitudes(plan.total_qubits, amps)
+    A name builds its state, and a StateVector gives its own amplitudes.  A
+    C-contiguous complex128 array is returned itself, never copied; any other
+    amplitudes (real or non-contiguous, say) are converted once into a fresh
+    array.  Amplitudes are checked once, by the StateVector rule
+    (``check_amplitudes``), and every input must fit the plan's register.
+    """
+    n = plan.total_qubits
+    if isinstance(init, str):
+        return make_named_state(n, init).amplitudes
+    check_register_size(n)
+    # A StateVector has passed the StateVector rule when it was built.
+    checked = isinstance(init, StateVector)
+    amps = init.amplitudes if checked else np.ascontiguousarray(init, dtype=complex)
+    if amps.shape != (1 << n,):
+        raise ValueError(
+            f"initial state has shape {amps.shape}, plan needs ({1 << n},) for {n} qubits"
+        )
+    if not checked:
+        check_amplitudes(n, amps)
     return amps
 
 
@@ -178,16 +174,14 @@ def play_to_last_window(
     before the last window and that window, for the caller to finish with
     ``statevector.multiplexed_products`` or ``apply_multiplexed``.
 
-    The coins are checked once, by ``check_coins``.  ``init`` is the initial
-    amplitudes, a C-contiguous complex array of the plan's length that the
-    caller has validated (``initial_amplitudes``), and is only read: the
-    first window reads it and writes the work buffer ``work``, a writable
-    complex array of the same length that shares no memory with ``init``,
-    and every later window updates that buffer in place, one pass each.  For
-    a one-window plan nothing is played and ``work`` is not touched: the
-    amplitudes returned are ``init`` itself; otherwise they are ``work``.
+    ``coins`` is a checked (5, 2, 2) complex array.  ``init`` is the initial
+    amplitudes of ``initial_amplitudes`` and is only read: the first window
+    reads it and writes the work buffer ``work``, a writable complex array of
+    the same length that shares no memory with ``init``, and every later
+    window updates that buffer in place, one pass each.  For a one-window
+    plan nothing is played and ``work`` is not touched: the amplitudes
+    returned are ``init`` itself; otherwise they are ``work``.
     """
-    coins = check_coins(coins)
     windows = _windows(plan, {"A": coins[:1], "B": coins[1:]})
     state, window = init, next(windows)
     for following in windows:
@@ -196,23 +190,21 @@ def play_to_last_window(
     return (state, *window)
 
 
-def run(plan: CircuitPlan, coins: np.ndarray, init: StateVector) -> StateVector:
-    """Play every game of the plan on the initial state with the five coins
-    of ``coins.games_from_bias``: game A tosses ``coins[0]``, game B one of
-    ``coins[1:]``.
+def run(plan: CircuitPlan, coins: np.ndarray, init) -> StateVector:
+    """Play every game of the plan on the initial state ``init`` (any input
+    of ``initial_amplitudes``) with the five coins of
+    ``coins.games_from_bias``: game A tosses ``coins[0]``, game B one of
+    ``coins[1:]``.  The coins are checked by ``check_coins``.
 
     The windows are played by ``play_to_last_window`` in one fresh buffer,
-    so ``init`` is left unchanged and read once, by the first window, and
-    the coins are checked once per call.  The last window writes its
-    products into that buffer too.  The final amplitudes are validated once
-    and handed, read-only and uncopied, to the returned StateVector.
+    so ``init`` is left unchanged.  The last window writes its products into
+    that buffer too, and the buffer is handed, read-only and uncopied, to
+    the returned StateVector, which checks the final norm.
     """
-    if init.num_qubits != plan.total_qubits:
-        raise ValueError(
-            f"initial state has {init.num_qubits} qubits, plan needs {plan.total_qubits}"
-        )
-    buf = np.empty_like(init.amplitudes)
-    state, first, ops = play_to_last_window(plan, coins, init.amplitudes, buf)
+    coins = check_coins(coins)
+    amps = initial_amplitudes(plan, init)
+    buf = np.empty_like(amps)
+    state, first, ops = play_to_last_window(plan, coins, amps, buf)
     apply_multiplexed(buf, first, ops, src=state)
     buf.setflags(write=False)
     return StateVector(plan.total_qubits, buf)

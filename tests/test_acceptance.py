@@ -31,7 +31,7 @@ from qparrondo.payoff import (
 )
 from qparrondo.statevector import make_basis_state
 from qparrondo.table import build_table
-from qparrondo.wiring import compile_sequence, initial_state_for, run
+from qparrondo.wiring import compile_sequence, run
 
 TABLE_SEQUENCES = ("AAAA", "B", "BB", "BBB", "AB", "ABAB", "AAB", "AABAAB")
 
@@ -154,7 +154,6 @@ def test_criterion_4_single_branch_interference():
     failures = []
     rng = np.random.default_rng(4)
     plan = compile_sequence("AAB")
-    ghz = initial_state_for(plan, "ghz")
     for eps in (0.0, 0.005):
         for _ in range(3):
             alpha1 = rng.uniform(0, 2 * math.pi)
@@ -170,7 +169,7 @@ def test_criterion_4_single_branch_interference():
             )
             # Game B tosses its (lost,lost) coin whatever the history.
             coins[1:] = coins[1]
-            value = payoff_expectation(run(plan, coins, ghz))
+            value = payoff_expectation(run(plan, coins, "ghz"))
             _check(failures, abs(value) < 1e-10, f"quantum single-branch payoff {value} at eps={eps}")
         # The classical game does the same to its lose probabilities.
         lose = lose_probs(eps)
@@ -228,8 +227,8 @@ def test_criterion_7_structural_invariants():
             [su2_matrix(theta, phases.gamma, phases.delta)]
             + [su2_matrix(*angles) for angles in zip(phis, phases.alphas, phases.betas)]
         )
-        sim_zero = payoff_expectation(run(plan, coins, initial_state_for(plan, "zero")))
-        sim_ghz = payoff_expectation(run(plan, coins, initial_state_for(plan, "ghz")))
+        sim_zero = payoff_expectation(run(plan, coins, "zero"))
+        sim_ghz = payoff_expectation(run(plan, coins, "ghz"))
         _check(
             failures,
             abs(sim_zero - aab_payoff_zero_state(theta, phis)) < 1e-10,
@@ -255,10 +254,10 @@ def test_criterion_7_structural_invariants():
     # block factorization of repeated AAB on the all-zero state
     coins = games_from_bias(0.0)
     plan3 = compile_sequence("AAB")
-    block = run(plan3, coins, initial_state_for(plan3, "zero")).amplitudes
+    block = run(plan3, coins, "zero").amplitudes
     for reps in (2, 3, 4):
         plan_n = compile_sequence("AAB" * reps)
-        full = run(plan_n, coins, initial_state_for(plan_n, "zero")).amplitudes
+        full = run(plan_n, coins, "zero").amplitudes
         tensor = block
         for _ in range(reps - 1):
             tensor = np.kron(tensor, block)
@@ -273,9 +272,8 @@ def test_criterion_7_structural_invariants():
             rng.uniform(0, 2 * math.pi),
         )
         _check(failures, np.allclose(m.conj().T @ m, eye, atol=1e-12), "non-unitary coin")
-    state = initial_state_for(compile_sequence("ABBAB"), "ghz")
     coins = games_from_bias(0.01, _random_phases(rng))
-    out = run(compile_sequence("ABBAB"), coins, state)
+    out = run(compile_sequence("ABBAB"), coins, "ghz")
     _check(
         failures,
         abs(np.sum(np.abs(out.amplitudes) ** 2) - 1.0) < 1e-12,
@@ -289,7 +287,7 @@ def test_criterion_8_performance():
     start = time.perf_counter()
     plan = compile_sequence("B" * 18)  # 2 seeds + 18 games = 20 qubits
     coins = games_from_bias(0.0)
-    state = run(plan, coins, initial_state_for(plan, "ghz"))
+    state = run(plan, coins, "ghz")
     payoff_expectation(state)
     elapsed = time.perf_counter() - start
     _check(failures, plan.total_qubits == 20, "plan is not 20 qubits")

@@ -13,7 +13,7 @@ from qparrondo.analytic import (
 )
 from qparrondo.coins import PhaseAssignment, su2_matrix
 from qparrondo.payoff import payoff_expectation
-from qparrondo.wiring import compile_sequence, initial_state_for, run
+from qparrondo.wiring import compile_sequence, run
 
 CHECK_TOL = 1e-10
 
@@ -42,7 +42,7 @@ def simulate_aab(theta, phis, phases, init_kind):
         [su2_matrix(theta, phases.gamma, phases.delta)]
         + [su2_matrix(*angles) for angles in zip(phis, phases.alphas, phases.betas)]
     )
-    state = run(plan, coins, initial_state_for(plan, init_kind))
+    state = run(plan, coins, init_kind)
     return payoff_expectation(state)
 
 

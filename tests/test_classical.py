@@ -11,7 +11,6 @@ from qparrondo.classical import (
     classical_sequence_expansion,
     classical_sequence_payoff,
     classical_sequence_total,
-    monte_carlo_sequence_payoff,
     paradox_threshold,
     sequence_threshold,
     stationary_distribution,
@@ -263,16 +262,3 @@ def test_threshold_rejects_bad_sequence():
     with pytest.raises(ValueError):
         sequence_threshold("AXB")
 
-
-# --- Monte Carlo sanity harness ---
-
-def test_monte_carlo_agrees_with_enumeration():
-    exact = classical_sequence_payoff("BB", 0.001)
-    mean, stderr = monte_carlo_sequence_payoff("BB", 0.001, trials=1_000_000, seed=8)
-    assert abs(mean - exact) < 3 * stderr
-
-
-@pytest.mark.parametrize("trials", [1, 0, -5])
-def test_monte_carlo_needs_two_trials(trials):
-    with pytest.raises(ValueError, match="trials"):
-        monte_carlo_sequence_payoff("AAB", trials=trials)

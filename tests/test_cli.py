@@ -289,6 +289,7 @@ def test_table_csv_and_json_hold_identical_values(runner, tmp_path):
     assert result.exit_code == 0
     lines = csv_path.read_text().strip().splitlines()
     header = lines[0].split(",")
+    assert header == list(json_rows[0])
     for line, row in zip(lines[1:], json_rows):
         cells = line.split(",")
         for key, cell in zip(header, cells):

@@ -3,11 +3,15 @@ import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qparrondo.analytic import aab_angles_from_bias
 from qparrondo.classical import build_history_chain
+from qparrondo.statevector import check_coins
 from qparrondo.coins import (
     BASE_LOSE,
+    MAX_EPS,
     PhaseAssignment,
     games_from_bias,
     lose_prob_to_theta,
@@ -168,6 +172,25 @@ def test_games_from_bias_builds_both_operators():
     for coin, p, g, d in zip(coins, BASE_LOSE, gammas, deltas):
         theta = lose_prob_to_theta(p + eps)
         assert np.array_equal(coin, su2_matrix(theta, reduce_angle(g), reduce_angle(d)))
+
+
+# Finite phases of any size, 1e300 included: reduce_angle brings each into
+# [0, 2*pi) before the coin is built.
+finite_phases = st.floats(-1e300, 1e300)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(
+    eps=st.floats(-MAX_EPS, MAX_EPS, exclude_min=True, exclude_max=True),
+    gamma=finite_phases,
+    delta=finite_phases,
+    alphas=st.tuples(*[finite_phases] * 4),
+    betas=st.tuples(*[finite_phases] * 4),
+)
+def test_games_from_bias_are_su2_by_construction(eps, gamma, delta, alphas, betas):
+    # The evaluators hand these coins to the backends unchecked.
+    phases = PhaseAssignment(gamma=gamma, delta=delta, alphas=alphas, betas=betas)
+    check_coins(games_from_bias(eps, phases))
 
 
 @pytest.mark.parametrize("eps", [-0.099, -0.05, 0.0, 1 / 168, 1 / 112, 0.05, 0.0999])

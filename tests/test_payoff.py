@@ -24,7 +24,7 @@ from qparrondo.payoff import (
     per_qubit,
     sequence_payoff,
 )
-from qparrondo.statevector import StateVector, make_basis_state, make_ghz
+from qparrondo.statevector import StateVector, make_basis_state, make_named_state
 from qparrondo.wiring import compile_sequence, play_to_last_window, run
 
 ATOL = 1e-12
@@ -190,7 +190,7 @@ def test_evaluator_validates_a_custom_state_once(monkeypatch):
     real = statevector.check_amplitudes
     for module in (statevector, wiring):
         monkeypatch.setattr(module, "check_amplitudes", lambda *args: checked.append(1) or real(*args))
-    ghz = np.array(make_ghz(3).amplitudes)
+    ghz = np.array(make_named_state(3, "ghz").amplitudes)
     for amps in (ghz, ghz.real.copy()):
         checked.clear()
         evaluator = Evaluator("B", init=amps)
@@ -309,7 +309,7 @@ def spoiled_state_rejection(spoil: str) -> str:
     """The error payoff_epsilon_expansion raises on writable GHZ amplitudes
     given a NaN entry or a norm off by 2e-12, with the evaluations disabled,
     so that only the Evaluator's check at construction can raise it."""
-    amps = np.array(make_ghz(3).amplitudes)
+    amps = np.array(make_named_state(3, "ghz").amplitudes)
     if spoil == "nan":
         amps[1] = math.nan
     else:

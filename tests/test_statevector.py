@@ -22,10 +22,9 @@ from qparrondo.statevector import (
     check_coins,
     check_unitary2,
     make_basis_state,
-    make_ghz,
     make_named_state,
 )
-from qparrondo.wiring import compile_sequence, initial_state_for, run
+from qparrondo.wiring import compile_sequence, run
 
 ATOL = 1e-12
 
@@ -117,7 +116,7 @@ def test_basis_state_rejects_bad_labels(label):
 
 @pytest.mark.parametrize("n", [1, 2, 3])
 def test_ghz_amplitudes(n):
-    s = make_ghz(n)
+    s = make_named_state(n, "ghz")
     expected = np.zeros(1 << n, dtype=complex)
     expected[0] = expected[-1] = 1 / math.sqrt(2)
     assert np.allclose(s.amplitudes, expected, atol=ATOL)
@@ -143,17 +142,17 @@ def test_statevector_rejects_wrong_length():
 
 def test_statevector_capacity_cap():
     with pytest.raises(ValueError, match="capacity"):
-        make_ghz(MAX_QUBITS + 1)
+        make_named_state(MAX_QUBITS + 1, "ghz")
     with pytest.raises(ValueError, match="capacity"):
         make_basis_state(MAX_QUBITS + 1, "0" * (MAX_QUBITS + 1))
     with pytest.raises(ValueError):
         StateVector(0, np.array([1.0]))
     with pytest.raises(ValueError):
-        make_ghz(0)
+        make_named_state(0, "ghz")
 
 
 def test_amplitudes_are_read_only():
-    s = make_ghz(2)
+    s = make_named_state(2, "ghz")
     with pytest.raises(ValueError):
         s.amplitudes[0] = 0.0
 
@@ -264,7 +263,7 @@ def test_single_qubit_matches_reference_kernel():
 
 
 def test_single_qubit_rejects_bad_target():
-    buf = np.array(make_ghz(3).amplitudes)
+    buf = np.array(make_named_state(3, "ghz").amplitudes)
     before = buf.copy()
     for target in (0, 4, -1):
         with pytest.raises(ValueError, match="out of range"):
@@ -354,7 +353,7 @@ def test_controls_undisturbed_on_basis_input():
 
 def test_multiplexed_rejects_index_collisions():
     # a B's window must lie inside the register, so its target is 3..n
-    buf = np.array(make_ghz(3).amplitudes)
+    buf = np.array(make_named_state(3, "ghz").amplitudes)
     before = buf.copy()
     for target in (1, 2, 4, 0):
         with pytest.raises(ValueError, match="out of range"):
@@ -364,7 +363,7 @@ def test_multiplexed_rejects_index_collisions():
 
 @pytest.mark.parametrize("count", [0, 2, 3, 5])
 def test_gate_rejects_wrong_matrix_count(count):
-    buf = np.array(make_ghz(3).amplitudes)
+    buf = np.array(make_named_state(3, "ghz").amplitudes)
     before = buf.copy()
     with pytest.raises(ValueError, match="matrices"):
         apply_gate(buf, 3, (np.eye(2),) * count)
@@ -500,7 +499,8 @@ def random_run_case(rng, max_qubits=10, kinds=("zero", "ghz", "custom")):
         if plan.total_qubits <= max_qubits:
             break
     kind = kinds[int(rng.integers(len(kinds)))]
-    init = random_state(plan.total_qubits, rng) if kind == "custom" else kind
+    n = plan.total_qubits
+    init = random_state(n, rng) if kind == "custom" else make_named_state(n, kind)
     phases = PhaseAssignment(
         gamma=rng.uniform(0, 2 * math.pi),
         delta=rng.uniform(0, 2 * math.pi),
@@ -508,7 +508,7 @@ def random_run_case(rng, max_qubits=10, kinds=("zero", "ghz", "custom")):
         betas=tuple(rng.uniform(0, 2 * math.pi, 4)),
     )
     eps = rng.uniform(-0.09, 0.09)
-    return plan, initial_state_for(plan, init), games_from_bias(eps, phases)
+    return plan, init, games_from_bias(eps, phases)
 
 
 def coin_matrices(coins):
@@ -718,7 +718,7 @@ def test_named_and_basis_states_allocate_their_amplitudes_once(build):
 def test_run_allocates_one_work_buffer():
     plan = compile_sequence("AAB" * 6 + "AA")
     assert plan.total_qubits == MEMORY_QUBITS
-    init = initial_state_for(plan, read_only_state_amplitudes(MEMORY_QUBITS, np.random.default_rng(602)))
+    init = random_state(MEMORY_QUBITS, np.random.default_rng(602))
     coins = games_from_bias(0.01)
     peak = traced_peak(lambda: run(plan, coins, init))
     assert peak < 1.25 * init.amplitudes.nbytes
@@ -732,7 +732,7 @@ def test_run_makes_no_second_state_sized_array():
     n = 16
     plan = compile_sequence("AAB" * 5 + "A")
     assert plan.total_qubits == n
-    init = initial_state_for(plan, read_only_state_amplitudes(n, np.random.default_rng(603)))
+    init = random_state(n, np.random.default_rng(603))
     peak = traced_peak(lambda: run(plan, games_from_bias(0.01), init))
     state_bytes = init.amplitudes.nbytes
     block_bytes = 16 * statevector._CHUNK
@@ -742,9 +742,12 @@ def test_run_makes_no_second_state_sized_array():
 
 @pytest.mark.parametrize("dtype", [complex, float], ids=["complex128", "float64"])
 def test_custom_amplitudes_are_copied_once(dtype):
-    # a real input is converted to complex once, and that array is adopted
+    # run reads complex128 amplitudes in place and converts real ones once:
+    # its state-sized arrays are the work buffer its result adopts and, for
+    # real input, the one converted copy
     plan = compile_sequence("A" * MEMORY_QUBITS)
     amps = np.random.default_rng(604).standard_normal(1 << MEMORY_QUBITS).astype(dtype)
     amps /= np.linalg.norm(amps)
-    peak = traced_peak(lambda: initial_state_for(plan, amps))
-    assert peak <= 1.05 * (16 << MEMORY_QUBITS)
+    arrays = 1 if dtype is complex else 2
+    peak = traced_peak(lambda: run(plan, games_from_bias(0.01), amps))
+    assert peak < (arrays + 0.25) * (16 << MEMORY_QUBITS)

@@ -10,10 +10,10 @@ from qparrondo.classical import classical_sequence_payoff
 from qparrondo.coins import PhaseAssignment, games_from_bias, su2_matrix
 from qparrondo.optimize import optimize_phases
 from qparrondo.payoff import payoff_epsilon_expansion, payoff_expectation, sequence_payoff
-from qparrondo.statevector import make_ghz
+from qparrondo.statevector import make_named_state
 from qparrondo.table import build_table
 from qparrondo.transfer import transfer_total
-from qparrondo.wiring import compile_sequence, initial_state_for, run
+from qparrondo.wiring import compile_sequence, run
 
 ATOL = 1e-12
 
@@ -42,7 +42,7 @@ small_sequences = st.text("AB", min_size=1, max_size=10).filter(
 
 
 def dense_total(plan, coins, kind):
-    return payoff_expectation(run(plan, coins, initial_state_for(plan, kind)))
+    return payoff_expectation(run(plan, coins, kind))
 
 
 # --- differential: transfer-matrix walk against the dense engine ---
@@ -134,18 +134,17 @@ def test_unknown_kind_is_rejected():
 
 def test_coin_matrices_are_checked():
     plan = compile_sequence("AAB")
-    init = initial_state_for(plan, "ghz")
     for k in range(5):
         coins = games_from_bias(0.0)
         coins[k] = 1.5 * np.eye(2)
         with pytest.raises(ValueError, match="not unitary"):
             transfer_total(plan, coins, "ghz")
         with pytest.raises(ValueError, match="not unitary"):
-            run(plan, coins, init)
+            run(plan, coins, "ghz")
     with pytest.raises(ValueError, match=r"shape \(5, 2, 2\)"):
         transfer_total(plan, games_from_bias(0.0)[1:], "ghz")
     with pytest.raises(ValueError, match=r"shape \(5, 2, 2\)"):
-        run(plan, games_from_bias(0.0)[1:], init)
+        run(plan, games_from_bias(0.0)[1:], "ghz")
 
 
 NON_FINITE_ANGLES = [
@@ -172,7 +171,7 @@ def coins_with(angles, k):
 def test_non_finite_angle_is_rejected_by_both_backends(angles):
     plan = compile_sequence("ABB")
     for kind in ("zero", "ghz"):
-        init = initial_state_for(plan, kind)
+        init = make_named_state(plan.total_qubits, kind)
         before = init.amplitudes.copy()
         for k in (0, 1, 4):
             with pytest.raises(ValueError):
@@ -204,7 +203,7 @@ def test_named_states_take_the_transfer_walk(monkeypatch, kind):
 
 
 def test_custom_states_take_the_dense_engine(monkeypatch):
-    monkeypatch.setattr(payoff, "transfer_total", _fail)
-    ghz = make_ghz(3)
+    monkeypatch.setattr(payoff, "walk_total", _fail)
+    ghz = make_named_state(3, "ghz")
     assert sequence_payoff("B", init=ghz) == pytest.approx(1 / 15, abs=ATOL)
     assert sequence_payoff("B", init=ghz.amplitudes) == pytest.approx(1 / 15, abs=ATOL)

@@ -1,11 +1,15 @@
 import math
+import re
 
 import numpy as np
 import pytest
 
+from qparrondo import statevector
 from qparrondo.coins import PhaseAssignment, games_from_bias
-from qparrondo.statevector import make_basis_state, make_ghz
-from qparrondo.wiring import compile_sequence, initial_amplitudes, initial_state_for, run
+from qparrondo.payoff import Evaluator
+from qparrondo.statevector import make_basis_state, make_named_state
+from qparrondo.transfer import transfer_total
+from qparrondo.wiring import compile_sequence, initial_amplitudes, run
 
 ATOL = 1e-12
 
@@ -92,53 +96,52 @@ def test_qubit_cap_applies_to_the_dense_path_only():
     assert plan.total_qubits == 30
     for kind in ("zero", "ghz", np.zeros(4)):
         with pytest.raises(ValueError, match="cap"):
-            initial_state_for(plan, kind)
+            initial_amplitudes(plan, kind)
 
 
 # --- initial states ---
 
 def test_initial_state_kinds():
     plan = compile_sequence("AAB")
-    assert initial_state_for(plan, "zero").amplitudes[0] == 1.0
-    ghz = initial_state_for(plan, "ghz")
-    assert abs(ghz.amplitudes[0] - 1 / math.sqrt(2)) < ATOL
-    assert abs(ghz.amplitudes[7] - 1 / math.sqrt(2)) < ATOL
+    assert initial_amplitudes(plan, "zero")[0] == 1.0
+    ghz = initial_amplitudes(plan, "ghz")
+    assert abs(ghz[0] - 1 / math.sqrt(2)) < ATOL
+    assert abs(ghz[7] - 1 / math.sqrt(2)) < ATOL
 
 
 def test_initial_state_zero_for_b_means_loss_loss_history():
-    state = initial_state_for(compile_sequence("B"), "zero")
-    assert state.amplitudes[0] == 1.0
+    assert initial_amplitudes(compile_sequence("B"), "zero")[0] == 1.0
 
 
 def test_initial_state_ghz_spans_plan_width():
-    assert initial_state_for(compile_sequence("BB"), "ghz").num_qubits == 4
+    assert initial_amplitudes(compile_sequence("BB"), "ghz").size == 1 << 4
 
 
 def test_initial_state_custom_amplitudes():
     plan = compile_sequence("AB")
     amps = np.zeros(8)
     amps[3] = 1.0
-    assert initial_state_for(plan, amps).amplitudes[3] == 1.0
+    assert initial_amplitudes(plan, amps)[3] == 1.0
 
 
 def test_initial_state_rejects_unnormalized_custom():
     plan = compile_sequence("AB")
     with pytest.raises(ValueError):
-        initial_state_for(plan, np.ones(8))
+        initial_amplitudes(plan, np.ones(8))
 
 
 def test_initial_state_rejects_bad_kind():
     with pytest.raises(ValueError, match="kind"):
-        initial_state_for(compile_sequence("A"), "vacuum")
+        initial_amplitudes(compile_sequence("A"), "vacuum")
 
 
 @pytest.mark.parametrize("writeable", [True, False], ids=["writable", "read-only"])
 def test_initial_amplitudes_read_a_complex_array_in_place(writeable):
     plan = compile_sequence("AB")
-    amps = np.array(make_ghz(3).amplitudes)
+    amps = np.array(make_named_state(3, "ghz").amplitudes)
     amps.setflags(write=writeable)
     assert initial_amplitudes(plan, amps) is amps
-    state = make_ghz(3)
+    state = make_named_state(3, "ghz")
     assert initial_amplitudes(plan, state) is state.amplitudes
 
 
@@ -154,40 +157,98 @@ def test_initial_amplitudes_read_a_complex_array_in_place(writeable):
 )
 def test_initial_amplitudes_convert_other_inputs_once(convert):
     plan = compile_sequence("AB")
-    ghz = make_ghz(3).amplitudes
+    ghz = make_named_state(3, "ghz").amplitudes
     given = convert(np.array(ghz))
     amps = initial_amplitudes(plan, given)
     assert amps.dtype == complex and amps.flags.c_contiguous and amps.flags.owndata
     assert not np.shares_memory(amps, ghz) and np.array_equal(amps, ghz)
 
 
+WRONG_SIZE = re.escape("initial state has shape (4,), plan needs (8,) for 3 qubits")
+
+
 @pytest.mark.parametrize(
     "kind, message",
     [
         (np.ones(8, dtype=complex), "not normalized"),
-        (np.ones(4, dtype=complex) / 2, "shape"),
-        (make_ghz(2), "plan needs"),
-        ("vacuum", "kind"),
+        (np.ones(4, dtype=complex) / 2, WRONG_SIZE),
+        (make_named_state(2, "ghz"), WRONG_SIZE),
+        ("vacuum", "unknown initial-state kind"),
     ],
+    ids=["unnormalized", "wrong-size-array", "wrong-size-state", "unknown-name"],
 )
-def test_initial_amplitudes_reject_what_initial_state_for_rejects(kind, message):
+def test_run_and_evaluator_reject_what_initial_amplitudes_rejects(kind, message):
+    # Every entry point takes its initial state through initial_amplitudes,
+    # so a wrong-size array and a wrong-size StateVector get one message.
     plan = compile_sequence("AB")
-    for build in (initial_amplitudes, initial_state_for):
+    for build in (
+        lambda: initial_amplitudes(plan, kind),
+        lambda: run(plan, games_from_bias(0.0), kind),
+        lambda: Evaluator("AB", kind),
+    ):
         with pytest.raises(ValueError, match=message):
-            build(plan, kind)
+            build()
 
 
 # --- execution ---
 
 def test_run_rejects_a_state_of_another_width():
-    with pytest.raises(ValueError, match="initial state has 2 qubits, plan needs 3"):
-        run(compile_sequence("AB"), games_from_bias(0.0), make_ghz(2))
+    with pytest.raises(ValueError, match=WRONG_SIZE):
+        run(compile_sequence("AB"), games_from_bias(0.0), make_named_state(2, "ghz"))
+
+
+def test_run_takes_every_initial_state_evaluator_takes():
+    plan = compile_sequence("ABB")
+    coins = games_from_bias(0.01, random_phases(np.random.default_rng(3)))
+    expected = run(plan, coins, "ghz").amplitudes
+    state = make_named_state(plan.total_qubits, "ghz")
+    assert np.array_equal(run(plan, coins, state).amplitudes, expected)
+    assert np.array_equal(run(plan, coins, state.amplitudes.real.copy()).amplitudes, expected)
+    for writeable in (True, False):
+        amps = np.array(state.amplitudes)
+        amps.setflags(write=writeable)
+        flags = amps.flags.writeable, amps.flags.c_contiguous, amps.flags.owndata
+        assert np.array_equal(run(plan, coins, amps).amplitudes, expected)
+        assert np.array_equal(amps, state.amplitudes)
+        assert (amps.flags.writeable, amps.flags.c_contiguous, amps.flags.owndata) == flags
+
+
+def count_coin_checks(monkeypatch):
+    """Count the calls of check_coins from every module that binds it."""
+    calls = []
+
+    def counted(coins):
+        calls.append(1)
+        return statevector.check_coins(coins)
+
+    for module in ("wiring", "transfer"):
+        monkeypatch.setattr(f"qparrondo.{module}.check_coins", counted)
+    return calls
+
+
+@pytest.mark.parametrize("init", ["ghz", make_named_state(3, "ghz")], ids=["walk", "dense"])
+def test_evaluations_trust_the_coins_they_build(monkeypatch, init):
+    calls = count_coin_checks(monkeypatch)
+    evaluator = Evaluator("AAB", init)
+    evaluator.payoff(0.01)
+    evaluator.expansion()
+    assert calls == []
+
+
+def test_run_and_transfer_total_check_a_callers_coins_once(monkeypatch):
+    calls = count_coin_checks(monkeypatch)
+    plan = compile_sequence("ABBAB")
+    coins = games_from_bias(0.01)
+    run(plan, coins, "ghz")
+    assert len(calls) == 1
+    transfer_total(plan, coins, "ghz")
+    assert len(calls) == 2
 
 
 def test_run_single_b_from_all_zero():
     plan = compile_sequence("B")
     coins = games_from_bias(0.0)
-    out = run(plan, coins, initial_state_for(plan, "zero"))
+    out = run(plan, coins, "zero")
     phi1 = math.acos(math.sqrt(0.1))
     assert abs(out.amplitudes[0] - math.cos(phi1)) < ATOL
     assert abs(out.amplitudes[1] - math.sin(phi1)) < ATOL
@@ -197,7 +258,7 @@ def test_run_single_b_from_all_zero():
 def test_run_single_a_coin_toss():
     plan = compile_sequence("A")
     coins = games_from_bias(0.0)
-    out = run(plan, coins, initial_state_for(plan, "zero"))
+    out = run(plan, coins, "zero")
     assert np.allclose(out.amplitudes, [math.sqrt(2) / 2, math.sqrt(2) / 2], atol=ATOL)
 
 
@@ -205,7 +266,7 @@ def test_run_b_on_ghz_keeps_history_qubits():
     rng = np.random.default_rng(2)
     plan = compile_sequence("B")
     coins = games_from_bias(0.0, random_phases(rng))
-    out = run(plan, coins, initial_state_for(plan, "ghz"))
+    out = run(plan, coins, "ghz")
     support = np.nonzero(out.amplitudes)[0]
     assert set(support) <= {0b000, 0b001, 0b110, 0b111}
 
@@ -214,7 +275,7 @@ def test_run_rejects_qubit_count_mismatch():
     plan = compile_sequence("AAB")
     coins = games_from_bias(0.0)
     with pytest.raises(ValueError, match="qubits"):
-        run(plan, coins, make_ghz(4))
+        run(plan, coins, make_named_state(4, "ghz"))
 
 
 # --- structural properties ---
@@ -249,9 +310,9 @@ def test_repeated_aab_factorizes_into_blocks(reps):
     # the 3n-qubit run equals the n-fold tensor power of the 3-qubit run
     plan3 = compile_sequence("AAB")
     coins = games_from_bias(0.0)
-    block = run(plan3, coins, initial_state_for(plan3, "zero")).amplitudes
+    block = run(plan3, coins, "zero").amplitudes
     plan = compile_sequence("AAB" * reps)
-    full = run(plan, coins, initial_state_for(plan, "zero")).amplitudes
+    full = run(plan, coins, "zero").amplitudes
     tensor = block
     for _ in range(reps - 1):
         tensor = np.kron(tensor, block)
@@ -263,7 +324,7 @@ def test_repeated_aab_factorizes_with_random_phases():
     phases = random_phases(rng)
     coins = games_from_bias(0.004, phases)
     plan3 = compile_sequence("AAB")
-    block = run(plan3, coins, initial_state_for(plan3, "zero")).amplitudes
+    block = run(plan3, coins, "zero").amplitudes
     plan = compile_sequence("AABAAB")
-    full = run(plan, coins, initial_state_for(plan, "zero")).amplitudes
+    full = run(plan, coins, "zero").amplitudes
     assert np.allclose(full, np.kron(block, block), atol=ATOL)
