@@ -210,7 +210,15 @@ def cmd_table1(repetitions, fmt, out):
 @format_option
 @out_option
 def cmd_optimize(sequence, init, eps, direction, max_sweeps, fmt, out):
-    """Search phase angles for the extremal per-qubit payoff."""
+    """Search phase angles for the extremal per-qubit payoff.
+
+    The search is skipped where no phase can move the payoff: on --init zero,
+    and on ghz unless the sequence compiles with no seed qubit and every
+    qubit but the last is a control of a later B.  The output is then the
+    payoff at zero phases after 1 evaluation, and flat_objective is true, a
+    fact proven from the sequence and the state.  A custom state file is
+    always searched and reports flat_objective false.
+    """
     result = optimize_phases(sequence, _load_init(init), eps, direction, max_sweeps=max_sweeps)
     phases = result.best_phases
     _emit(
@@ -228,7 +236,7 @@ def cmd_optimize(sequence, init, eps, direction, max_sweeps, fmt, out):
             },
             "converged": result.converged,
             "evaluations": result.evaluations,
-            "flat_objective": abs(result.best_value - result.trace[0]) < 1e-9,
+            "flat_objective": not result.phase_sensitive,
         },
         fmt,
         out,

@@ -16,6 +16,16 @@ so game A's gamma and each B branch's alpha are a diagonal phase applied
 after the coin on its own target.  Every later gate reads that qubit only as
 a control, and the payoff is measured in the computational basis, so those
 five phases change no payoff on any initial state.  They are reported as 0.
+
+The search runs only where a phase can move the payoff at all, which the
+``Evaluator`` decides once from the plan and the initial state
+(``Evaluator.phase_sensitive``).  On the all-zero state no phase matters; on
+GHZ only plans with no seed qubit in which every qubit but the last is a
+control of a later B are searched (``wiring.ghz_phase_sensitive``); a custom
+state is always searched.  Elsewhere the objective is constant, and the
+result is its one evaluation at the zero phases, with
+``phase_sensitive=False``: a proven fact about the plan, not a guess from
+the values seen.
 """
 from __future__ import annotations
 
@@ -40,6 +50,7 @@ class OptimizationResult:
     direction: str
     converged: bool
     evaluations: int
+    phase_sensitive: bool
     trace: list[float] = field(default_factory=list)
 
 
@@ -55,7 +66,9 @@ def optimize_phases(
     max_sweeps: int = 40,
 ) -> OptimizationResult:
     """Maximize or minimize the per-qubit payoff over the five phases that
-    can change it; gamma and the alphas are reported as 0."""
+    can change it; gamma and the alphas are reported as 0.  On a plan and
+    initial state that no phase can move, return the one evaluation at the
+    zero phases."""
     if direction not in ("max", "min"):
         raise ValueError(f"direction must be 'max' or 'min', got {direction!r}")
     if max_sweeps < 1:
@@ -76,6 +89,16 @@ def optimize_phases(
 
     best = objective(x)
     trace = [best]
+    if not evaluator.phase_sensitive:
+        return OptimizationResult(
+            best_value=best,
+            best_phases=_assignment_from_vector(x),
+            direction=direction,
+            converged=True,
+            evaluations=evaluations,
+            phase_sensitive=False,
+            trace=trace,
+        )
     converged = False
     for _ in range(max_sweeps):
         sweep_start = best
@@ -126,5 +149,6 @@ def optimize_phases(
         direction=direction,
         converged=converged,
         evaluations=evaluations,
+        phase_sensitive=True,
         trace=trace,
     )

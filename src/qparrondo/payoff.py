@@ -37,7 +37,12 @@ from . import statevector
 from .coins import PhaseAssignment, bias_expansion, games_from_bias
 from .statevector import NAMED_STATES, StateVector, check_norm, multiplexed_products
 from .transfer import walk_total
-from .wiring import compile_sequence, initial_amplitudes, play_to_last_window
+from .wiring import (
+    compile_sequence,
+    ghz_phase_sensitive,
+    initial_amplitudes,
+    play_to_last_window,
+)
 
 
 def _marginal_sum(m: np.ndarray) -> float:
@@ -134,6 +139,12 @@ class Evaluator:
     one state-sized work buffer for its evaluations, so one Evaluator must
     not evaluate in two threads at once.
 
+    ``phase_sensitive`` records, from the plan and the initial state alone,
+    whether any phase can move the payoff: never on "zero", whose one branch
+    has no cross pairs to interfere; on "ghz" by the plan rule
+    ``wiring.ghz_phase_sensitive``; always on a StateVector or amplitudes,
+    where no rule is proven.
+
     A C-contiguous complex128 array is not copied: every evaluation reads
     the caller's array, and none writes it.  Do not change it while the
     Evaluator is in use; pass a StateVector for a snapshot.  A change that
@@ -146,12 +157,14 @@ class Evaluator:
         self.plan = plan = compile_sequence(seq)
         if isinstance(init, str) and init in NAMED_STATES:
             self._total = lambda coins: walk_total(plan, coins, init)
+            self.phase_sensitive = init == "ghz" and ghz_phase_sensitive(plan)
         else:
             amps = initial_amplitudes(plan, init)
             # One work buffer for every evaluation: a fresh state-sized array
             # would be faulted into memory page by page on each of them.
             work = np.empty_like(amps)
             self._total = lambda coins: _dense_total(plan, coins, amps, work)
+            self.phase_sensitive = True
 
     def payoff(
         self,

@@ -12,6 +12,8 @@ and its tokens: the dense kernel, the transfer walk and the classical chain
 read the tokens in order and take everything else from this rule.  ``run``
 plays a plan with the five coins of ``coins.games_from_bias``: game A tosses
 coin 0, and game B tosses coin 1 + ((older << 1) | newer) of its two controls.
+``ghz_phase_sensitive`` reads the same rule to tell whether any phase can
+move a plan's payoff on the GHZ state.
 
 Dense evaluation plays the games by windows.  Consecutive games target
 consecutive qubits, so a window of m games acts on its m targets and reads,
@@ -83,6 +85,30 @@ def compile_sequence(seq: str) -> CircuitPlan:
     tokens = validate_sequence(seq)
     first_b = tokens.find("B")
     return CircuitPlan(0 if first_b < 0 else max(0, 2 - first_b), tokens)
+
+
+def ghz_phase_sensitive(plan: CircuitPlan) -> bool:
+    """Whether any phase of the coins can move the plan's payoff on the GHZ
+    state: only if the plan has no seed qubit and every qubit but the last is
+    a control of a later B.
+
+    On one basis input a game's outcome has probability |<y|U|x>|^2, which no
+    phase changes, so phases act only through the cross pairs (b, b') of
+    the walk in ``transfer``, whose factor for a qubit is conj(<y|U|0>)
+    <y|U|1>.  Summed over the outcome y this is (U^H U)[0,1] = 0.  A qubit
+    that no later gate reads is summed out on its own, so it zeroes every
+    cross term unless it carries the payoff term being summed: the last
+    qubit does this for every payoff term but its own, and that one term
+    survives only if every other qubit is read by a later B.  A seed
+    qubit's identity factor is 0 on a cross pair for every y.  That every
+    plan passing this rule does depend on the phases is held by the tests,
+    against the walk.
+    """
+    # With no seed qubit, game k's target is read by games k + 1 and k + 2.
+    tokens = plan.tokens
+    return plan.seed_count == 0 and all(
+        "B" in tokens[k + 1 : k + 3] for k in range(len(tokens) - 1)
+    )
 
 
 def initial_amplitudes(plan: CircuitPlan, init) -> np.ndarray:

@@ -334,6 +334,35 @@ def test_optimize_reports_flat_objective(runner):
         invoke(runner, "optimize", "--sequence", "B", "--direction", "max", "--max-sweeps", "2")
     )
     assert out["flat_objective"] is True
+    assert out["evaluations"] == 1
+    assert out["best_value"] == pytest.approx(1 / 15, abs=1e-9)
+
+
+def test_optimize_flat_objective_sees_a_maximum_at_the_start(runner):
+    # On one GHZ qubit, delta moves the payoff of A from -1 to +1, and the
+    # zero phases already give +1: the search finds no gain, yet the
+    # objective is not flat.
+    out = parse_json(invoke(runner, "optimize", "--sequence", "A", "--direction", "max"))
+    assert out["best_value"] == pytest.approx(1.0, abs=1e-12)
+    assert out["flat_objective"] is False
+    assert out["evaluations"] > 1
+
+
+@pytest.mark.parametrize("sequence", ["A", "B", "AAB", "ABBAB"])
+def test_optimize_on_the_zero_state_is_flat(runner, sequence):
+    out = parse_json(invoke(runner, "optimize", "--sequence", sequence, "--init", "zero"))
+    assert out["flat_objective"] is True
+    assert out["evaluations"] == 1
+
+
+def test_optimize_on_a_custom_state_is_searched(runner, tmp_path):
+    path = tmp_path / "ghz.json"
+    path.write_text(json.dumps([[math.sqrt(0.5), 0.0]] + [[0.0, 0.0]] * 6 + [[math.sqrt(0.5), 0.0]]))
+    out = parse_json(
+        invoke(runner, "optimize", "--sequence", "B", "--init", str(path), "--max-sweeps", "1")
+    )
+    assert out["flat_objective"] is False
+    assert out["evaluations"] > 1
     assert out["best_value"] == pytest.approx(1 / 15, abs=1e-9)
 
 

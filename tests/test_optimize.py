@@ -54,6 +54,20 @@ def test_no_interference_sequences_are_phase_flat(seq):
     assert hi.evaluations > 0
 
 
+@pytest.mark.parametrize(
+    "seq, init", [("B", "ghz"), ("ABB", "ghz"), ("AABA", "ghz"), ("AAB", "zero"), ("A", "zero")]
+)
+@pytest.mark.parametrize("direction", ["max", "min"])
+def test_phase_blind_plans_take_one_evaluation(seq, init, direction):
+    result = optimize_phases(seq, init=init, eps=0.01, direction=direction)
+    assert result.phase_sensitive is False
+    assert result.converged is True
+    assert result.evaluations == 1
+    assert result.trace == [result.best_value]
+    assert result.best_phases == PhaseAssignment()
+    assert result.best_value == Evaluator(seq, init).payoff(0.01)
+
+
 def test_flat_b_objective_equals_one_fifteenth():
     result = optimize_phases("B", direction="max", max_sweeps=2)
     assert abs(result.best_value - 1 / 15) < 1e-9
@@ -111,3 +125,4 @@ def test_only_delta_and_betas_are_searched():
     assert result.best_phases.gamma == 0.0
     assert result.best_phases.alphas == (0.0,) * 4
     assert result.evaluations == 652
+    assert result.phase_sensitive is True

@@ -47,6 +47,17 @@ def dense_total(plan, coins, kind):
 
 # --- differential: transfer-matrix walk against the dense engine ---
 
+@pytest.mark.parametrize("kind", ["zero", "ghz"])
+def test_transfer_matches_dense_engine_on_fixed_arbitrary_coins(kind):
+    # (theta, gamma, delta) of each coin; B's (lost,won) and (won,lost) coins
+    # differ, so a backend that reads the two history bits in the wrong order
+    # is caught without a property search.
+    angles = [(0.4, 1.3, 2.2), (0.9, 0.5, 4.1), (2.1, 3.7, 0.6), (-1.2, 5.2, 1.9), (2.6, 0.8, 3.4)]
+    coins = np.array([su2_matrix(*coin) for coin in angles])
+    plan = compile_sequence("ABBAB")
+    assert abs(transfer_total(plan, coins, kind) - dense_total(plan, coins, kind)) <= ATOL
+
+
 @PROPERTY
 @given(
     seq=small_sequences,

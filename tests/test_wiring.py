@@ -1,15 +1,18 @@
+import itertools
 import math
 import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qparrondo import statevector
 from qparrondo.coins import PhaseAssignment, games_from_bias
 from qparrondo.payoff import Evaluator
 from qparrondo.statevector import make_basis_state, make_named_state
 from qparrondo.transfer import transfer_total
-from qparrondo.wiring import compile_sequence, initial_amplitudes, run
+from qparrondo.wiring import compile_sequence, ghz_phase_sensitive, initial_amplitudes, run
 
 ATOL = 1e-12
 
@@ -328,3 +331,62 @@ def test_repeated_aab_factorizes_with_random_phases():
     plan = compile_sequence("AABAAB")
     full = run(plan, coins, "zero").amplitudes
     assert np.allclose(full, np.kron(block, block), atol=ATOL)
+
+
+# --- phase sensitivity ---
+
+def phases_move_payoff(evaluator, eps, rng):
+    """Whether the payoff moves by more than 1e-12 between three random phase
+    points at bias ``eps``."""
+    values = [evaluator.payoff(eps, random_phases(rng)) for _ in range(3)]
+    return max(values) - min(values) > 1e-12
+
+
+def rule_by_wiring(plan):
+    """The phase-sensitivity rule on GHZ as this test states it, from
+    ``wiring`` above: no seed qubit, and every qubit but the last is a control
+    of a later B."""
+    read = {q for token, _, controls in wiring(plan) if token == "B" for q in controls}
+    return plan.seed_count == 0 and read >= set(range(1, plan.total_qubits))
+
+
+@pytest.mark.parametrize("init", ["zero", "ghz"])
+def test_phase_sensitivity_matches_the_walk_on_every_short_sequence(init):
+    rng = np.random.default_rng(41)
+    for length in range(1, 9):
+        for tokens in itertools.product("AB", repeat=length):
+            seq = "".join(tokens)
+            evaluator = Evaluator(seq, init)
+            rule = init == "ghz" and rule_by_wiring(evaluator.plan)
+            assert ghz_phase_sensitive(evaluator.plan) == rule_by_wiring(evaluator.plan), seq
+            assert evaluator.phase_sensitive == rule, seq
+            moved = phases_move_payoff(evaluator, rng.uniform(-0.09, 0.09), rng)
+            assert moved == rule, seq
+
+
+# The interference on the last qubit shrinks as the sequence grows (a phase
+# span of 0.0077 per qubit for AAB followed by B^10), so lengths stay short.
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(
+    seq=st.text("AB", min_size=1, max_size=12),
+    init=st.sampled_from(["zero", "ghz"]),
+    eps=st.floats(-0.09, 0.09),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_phase_sensitivity_matches_the_walk(seq, init, eps, seed):
+    # The phase points come from a seeded generator: two equal points drawn
+    # by Hypothesis would show no move on any plan.
+    evaluator = Evaluator(seq, init)
+    assert evaluator.phase_sensitive == phases_move_payoff(
+        evaluator, eps, np.random.default_rng(seed)
+    )
+
+
+def test_custom_states_are_always_phase_sensitive():
+    # No rule is proven on a custom state, even one equal to a named state.
+    for seq in ("B", "AAB", "ABB"):
+        n = compile_sequence(seq).total_qubits
+        for kind in ("zero", "ghz"):
+            state = make_named_state(n, kind)
+            assert Evaluator(seq, state).phase_sensitive is True
+            assert Evaluator(seq, state.amplitudes).phase_sensitive is True
