@@ -8,7 +8,11 @@ closes the remaining gap from grid resolution (about 2e-3) to ~1e-6.
 
 The search is deterministic: it starts from the all-zero assignment, scans
 each coordinate over the same grid in order, and breaks ties toward the
-smaller angle by accepting strict improvements only.
+smaller angle by accepting strict improvements only.  A coordinate is the
+phase of one coin, so the coins of every grid angle are built once per
+search, and a grid point evaluates the current coins with that one coin
+swapped in (``Evaluator.payoff_of_coins``): the same coins, bit for bit, as
+``games_from_bias`` builds there.
 
 Only five of the ten phases are searched: game A's delta and the four B
 betas.  Every coin is Rz(gamma) R(theta) Rz(delta) (see ``coins.su2_matrix``),
@@ -33,7 +37,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .coins import PhaseAssignment
+from .coins import PhaseAssignment, games_from_bias
 from .payoff import Evaluator
 
 COORD_NAMES = ("delta", "beta1", "beta2", "beta3", "beta4")
@@ -78,16 +82,20 @@ def optimize_phases(
 
     evaluations = 0
 
-    def objective(x: np.ndarray) -> float:
+    def objective(coins: np.ndarray) -> float:
         nonlocal evaluations
         evaluations += 1
-        return evaluator.payoff(eps, _assignment_from_vector(x))
+        return evaluator.payoff_of_coins(coins)
+
+    def coins_at(x: np.ndarray) -> np.ndarray:
+        return games_from_bias(eps, _assignment_from_vector(x))
 
     x = np.zeros(len(COORD_NAMES))
     grid = np.linspace(0.0, 2.0 * np.pi, GRID_POINTS, endpoint=False)
     step = grid[1] - grid[0]
 
-    best = objective(x)
+    coins = coins_at(x)
+    best = objective(coins)
     trace = [best]
     if not evaluator.phase_sensitive:
         return OptimizationResult(
@@ -99,23 +107,28 @@ def optimize_phases(
             phase_sensitive=False,
             trace=trace,
         )
+
+    # Coin i of grid_coins[k] has its searched phase at grid[k].  Each coin
+    # reads only its own phases, so a grid point's coins are the current
+    # coins, which ``coins_at(x)`` would build, with coin i from this table.
+    grid_coins = np.array(
+        [games_from_bias(eps, PhaseAssignment(delta=g, betas=(g,) * 4)) for g in grid]
+    )
     converged = False
     for _ in range(max_sweeps):
         sweep_start = best
         for i in range(len(x)):
-            x_before = x[i]
-
             # Grid scan; strict improvement breaks ties toward smaller angles.
+            trial = coins.copy()
             values = np.empty(GRID_POINTS)
-            for k, g in enumerate(grid):
-                x[i] = g
-                values[k] = objective(x)
+            for k in range(GRID_POINTS):
+                trial[i] = grid_coins[k, i]
+                values[k] = objective(trial)
             k_best = int(np.argmax(sign * values))
             if sign * values[k_best] > sign * best:
                 best = float(values[k_best])
                 x[i] = grid[k_best]
-            else:
-                x[i] = x_before
+                coins[i] = grid_coins[k_best, i]
 
             # Quadratic refinement through the best grid point and neighbors.
             f_m = values[(k_best - 1) % GRID_POINTS]
@@ -127,8 +140,10 @@ def optimize_phases(
                 if abs(offset) <= step:
                     x_current = x[i]
                     x[i] = float(np.mod(grid[k_best] + offset, 2.0 * np.pi))
-                    if sign * (v := objective(x)) > sign * best:
+                    refined = coins_at(x)
+                    if sign * (v := objective(refined)) > sign * best:
                         best = v
+                        coins = refined
                     else:
                         x[i] = x_current
         trace.append(best)
@@ -136,9 +151,10 @@ def optimize_phases(
             converged = True
             break
 
-    # Purity: a fresh evaluation at the reported phases must reproduce the
-    # reported value bit for bit.  An explicit check, so it survives -O.
-    final_value = objective(x)
+    # Purity: a fresh evaluation at the reported phases, its coins built anew
+    # by games_from_bias, must reproduce the reported value bit for bit.  An
+    # explicit check, so it survives -O.
+    final_value = objective(coins_at(x))
     if final_value != best:
         raise RuntimeError(
             f"re-evaluation at the reported phases gave {final_value!r}, not {best!r}"

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from qparrondo.coins import PhaseAssignment
+from qparrondo.coins import PhaseAssignment, games_from_bias
 from qparrondo.optimize import COORD_NAMES, optimize_phases
 from qparrondo.payoff import Evaluator, sequence_payoff
 from qparrondo.wiring import compile_sequence
@@ -66,6 +66,19 @@ def test_phase_blind_plans_take_one_evaluation(seq, init, direction):
     assert result.trace == [result.best_value]
     assert result.best_phases == PhaseAssignment()
     assert result.best_value == Evaluator(seq, init).payoff(0.01)
+
+
+def test_each_coin_reads_only_its_own_phases():
+    # The grid scan swaps one coin into the current coins; that matches a
+    # fresh build only because no coin reads another coin's phases.
+    rng = np.random.default_rng(7)
+    for _ in range(20):
+        x = rng.uniform(0.0, 2 * math.pi, 5)
+        eps = rng.uniform(-0.09, 0.09)
+        coins = games_from_bias(eps, PhaseAssignment(delta=x[0], betas=tuple(x[1:])))
+        for i, angle in enumerate(x):
+            alone = games_from_bias(eps, PhaseAssignment(delta=angle, betas=(angle,) * 4))
+            assert np.array_equal(alone[i], coins[i])
 
 
 def test_flat_b_objective_equals_one_fifteenth():
