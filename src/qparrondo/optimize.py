@@ -21,15 +21,12 @@ after the coin on its own target.  Every later gate reads that qubit only as
 a control, and the payoff is measured in the computational basis, so those
 five phases change no payoff on any initial state.  They are reported as 0.
 
-The search runs only where a phase can move the payoff at all, which the
-``Evaluator`` decides once from the plan and the initial state
-(``Evaluator.phase_sensitive``).  On the all-zero state no phase matters; on
-GHZ only plans with no seed qubit in which every qubit but the last is a
-control of a later B are searched (``wiring.ghz_phase_sensitive``); a custom
-state is always searched.  Elsewhere the objective is constant, and the
-result is its one evaluation at the zero phases, with
-``phase_sensitive=False``: a proven fact about the plan, not a guess from
-the values seen.
+The search runs only where a phase can move the payoff, as
+``Evaluator.phase_sensitive`` decides once from the plan and the initial
+state: never on the all-zero state, by ``wiring.ghz_phase_sensitive`` on
+GHZ, always on a custom state.  Elsewhere the result is the one evaluation
+at the zero phases, with ``phase_sensitive=False``: a proven fact about the
+plan, not a guess from the values seen.
 """
 from __future__ import annotations
 

@@ -176,9 +176,9 @@ class Evaluator:
         return self.payoff_of_coins(games_from_bias(eps, phases), normalize)
 
     def payoff_of_coins(self, coins: np.ndarray, normalize: bool = True) -> float:
-        """The payoff with the five coins ``coins``, which must be coins of
-        ``games_from_bias``, SU(2) by construction: they are not checked, and
-        the final norm check is the only one."""
+        """The payoff with the five coins ``coins``, which must be SU(2), as
+        the coins of ``games_from_bias`` are by construction: they are not
+        checked, and the final norm check is the only one."""
         total = self._total(coins)
         return per_qubit(total, self.plan.total_qubits) if normalize else total
 
