@@ -183,6 +183,16 @@ def test_aab_on_ghz_zero_phase_constant():
 
 # --- one compiled evaluator ---
 
+@pytest.mark.parametrize("init", ["zero", "ghz", make_named_state(5, "ghz")], ids=["zero", "ghz", "dense"])
+def test_payoff_of_coins_is_the_payoff_of_the_same_coins(init):
+    evaluator = Evaluator("AABBA", init)
+    phases = PhaseAssignment(0.4, 1.1, (0.2, 2.3, 4.4, 0.9), (3.1, 0.7, 5.5, 1.6))
+    coins = games_from_bias(0.02, phases)
+    for normalize in (True, False):
+        want = evaluator.payoff(0.02, phases, normalize)
+        assert evaluator.payoff_of_coins(coins, normalize) == want
+
+
 def test_evaluator_validates_a_custom_state_once(monkeypatch):
     # One check by the StateVector rule per Evaluator, whether the array is
     # read in place (complex) or converted first (real)
