@@ -21,7 +21,7 @@ is built, by ``wiring.initial_amplitudes``.  Each evaluation builds the five
 coins of ``coins.games_from_bias``, SU(2) by construction, and hands that one
 array, unchecked, to the backend; both backends check the final norm.
 
-A dense evaluation reduces the products of the last window of
+A dense evaluation reduces the products of the last group of windows of
 ``wiring.play_to_last_window`` into the payoff as they are made: the final
 state is never written, and its norm is checked, by the StateVector rule,
 from the reduction's own chunk sums.  Its total equals
@@ -97,17 +97,18 @@ def payoff_expectation(state: StateVector) -> float:
     return _reduce(amps.reshape(-1, min(amps.size, statevector._CHUNK)))[0]
 
 
-def _dense_total(plan, coins: np.ndarray, init: np.ndarray, work: np.ndarray) -> float:
+def _dense_total(plan, coins: np.ndarray, init: np.ndarray, work: np.ndarray,
+                 tiles: np.ndarray | None = None) -> float:
     """The dense payoff total of the initial amplitudes ``init``, that is
     ``payoff_expectation(run(plan, coins, StateVector(n, init)))``, without
-    the final state: the windows before the last are played in the
-    work buffer ``work``, the last window's product blocks, contiguous runs
-    of the state in order, go straight to the reduction, and the final norm
-    is checked from its chunk sums by ``check_norm``, the StateVector
-    rule."""
-    state, first, ops = play_to_last_window(plan, coins, init, work)
+    the final state: the groups of windows before the last are played in the
+    work buffer ``work``, the last group's product tiles, contiguous runs of
+    the state in order, go straight to the reduction, and the final norm is
+    checked from its chunk sums by ``check_norm``, the StateVector rule.
+    ``tiles`` is handed to the kernel (``statevector.multiplexed_products``)."""
+    state, group = play_to_last_window(plan, coins, init, work, tiles)
     total, norm_sq = _reduce(
-        product.reshape(-1) for _, product in multiplexed_products(state, first, ops)
+        product.reshape(-1) for _, product in multiplexed_products(state, group, tiles)
     )
     check_norm(norm_sq)
     return total
@@ -136,8 +137,8 @@ class Evaluator:
     transfer-matrix walk; a StateVector or amplitudes are validated once,
     here, and take the dense path, which reads them once per evaluation.
     Both check the final norm of every evaluation.  A dense Evaluator keeps
-    one state-sized work buffer for its evaluations, so one Evaluator must
-    not evaluate in two threads at once.
+    one state-sized work buffer and two tile buffers for its evaluations, so
+    one Evaluator must not evaluate in two threads at once.
 
     ``phase_sensitive`` records, from the plan and the initial state alone,
     whether any phase can move the payoff: never on "zero", whose one branch
@@ -160,10 +161,12 @@ class Evaluator:
             self.phase_sensitive = init == "ghz" and ghz_phase_sensitive(plan)
         else:
             amps = initial_amplitudes(plan, init)
-            # One work buffer for every evaluation: a fresh state-sized array
-            # would be faulted into memory page by page on each of them.
+            # One work buffer and one pair of tiles for every evaluation: a
+            # fresh state-sized array would be faulted into memory page by
+            # page on each of them.
             work = np.empty_like(amps)
-            self._total = lambda coins: _dense_total(plan, coins, amps, work)
+            tiles = np.empty((2, min(statevector._TILE, amps.size)), dtype=complex)
+            self._total = lambda coins: _dense_total(plan, coins, amps, work, tiles)
             self.phase_sensitive = True
 
     def payoff(

@@ -15,11 +15,16 @@ length, finite entries, unit norm, in one pass that allocates nothing),
 :func:`check_coins` the rule of a five-coin array.  The named and basis
 states are built read-only and adopted without a copy.
 
-One block kernel does the arithmetic.  :func:`multiplexed_products` applies a
-stack of matrices to consecutive qubits, one matrix for each value of the
-control qubits just before them, as a few BLAS matrix products over blocks of
-about _CHUNK amplitudes, and yields each block's product in one reused
-block-sized array, so a large state passes through memory once per window.
+One kernel does the arithmetic.  :func:`multiplexed_products` plays a group
+of windows, each a stack of matrices applied to consecutive qubits, one
+matrix for each value of the control qubits just before them.  It cuts the
+state into tiles of about _TILE amplitudes, the group's qubits times a run of
+the qubits after them (blocks of _CHUNK for a window played alone), reads
+each tile once, plays every window of the group on it in cache between two
+tile buffers, and yields the tile's product.  So a large state passes
+through memory once per group.  The products are BLAS matrix products, run
+as real products on the float64 view where an operator has no imaginary
+part, as the coins of the paper's games have at zero phases.
 :func:`apply_multiplexed` writes those products into a writable buffer, in
 place or from a separate source, and :func:`apply_gate` is one game on a
 buffer: a 2x2 unitary on a fresh target qubit, picked for game B by the two
@@ -171,67 +176,133 @@ def make_named_state(num_qubits: int, name: str) -> StateVector:
     return StateVector(num_qubits, amps)
 
 
-# Amplitudes per block of :func:`multiplexed_products`: a block and its
-# product (512 KiB apiece) stay in cache, so a large state passes through
-# memory once per window however many qubits the operator spans.  The payoff
-# reduction takes its chunks of this size too.
+# Amplitudes per block of a window played alone: a block and its product
+# (512 KiB apiece) stay in cache, so a large state passes through memory once
+# per window however many qubits the operator spans.  The payoff reduction
+# takes its chunks of this size too.
 _CHUNK = 1 << 15
 
+# Amplitudes per tile of a group of windows: the group's qubits times a run
+# of the qubits after them.  Two tiles (1 MiB apiece) stay in cache while
+# every window of the group plays on them.
+_TILE = 1 << 16
 
-def multiplexed_products(src: np.ndarray, first: int, ops: np.ndarray):
-    """Yield a multiplexed operator's products on ``src``, block by block.
 
+def window_span(first: int, ops) -> tuple[int, int]:
+    """The first and the last qubit that the window ``(first, ops)`` of
+    :func:`multiplexed_products` acts on."""
+    return first, first + (len(ops) * len(ops[0])).bit_length() - 2
+
+
+def _group_span(group) -> tuple[int, int]:
+    """The first and the last qubit that the windows of ``group`` act on."""
+    spans = [window_span(*window) for window in group]
+    return min(top for top, _ in spans), max(bottom for _, bottom in spans)
+
+
+def multiplexed_products(src: np.ndarray, group, tiles: np.ndarray | None = None):
+    """Yield the products of a group of multiplexed operators on ``src``,
+    tile by tile.
+
+    ``group`` is a sequence of windows ``(first, ops)``, played in order.
     ``ops`` has shape (2**w, d, d) with d = 2**m: where the w qubits from
     ``first`` on read c (older qubit first), ``ops[c]`` acts on the m qubits
     after them, and those w qubits are never altered.  ``src`` is a
-    C-contiguous complex array of length 2**n with first + w + m - 1 <= n;
-    it is only read.
+    C-contiguous complex array of length 2**n that holds every window's
+    qubits; it is only read.
 
-    Each item is ``(index, product)``: the operator applied to the block
-    ``index`` of the view ``reshape(2**(first - 1), 2**w, d, -1)`` of the
-    state, a block of about _CHUNK amplitudes.  ``product`` is one reused
-    array, overwritten by the next item.  When the operator ends on the last
+    The group's span, from its first window's ``first`` to the last qubit
+    any window acts on, is cut into tiles: each is the span times a run of
+    the qubits after it, at most _TILE amplitudes (_CHUNK for a window played
+    alone) unless the span alone is more.  The first window's product reads
+    each tile from ``src``, and every later window plays between the two
+    rows of ``tiles``, a (2, size) complex array, or between fresh arrays if
+    it is None.  A product whose operator has no imaginary part runs as a
+    real product on the float64 view.
+
+    Each item is ``(index, product)``: the group applied to the tile
+    ``index`` of the view ``reshape(2**(top - 1), 2**span, -1)`` of the
+    state, with ``top`` the span's first qubit.  ``product`` is a row of
+    ``tiles``, overwritten by the next item.  When the span ends on the last
     qubit, every product is a contiguous run of the state, the runs come in
     state order and all have the same length.
     """
-    ops = np.asarray(ops, dtype=complex)
-    branches, d = ops.shape[:2]
-    # Axes: the qubits before the operator, its control value, the qubits it
-    # acts on and the qubits after it.  All sizes are powers of two, so the
-    # blocks tile the view exactly.
-    view = src.reshape(1 << (first - 1), branches, d, -1)
-    pre, post = view.shape[0], view.shape[3]
-    cols = min(post, max(1, _CHUNK // (branches * d)))
-    step = min(pre, max(1, _CHUNK // (branches * d * cols)))
-    out = np.empty((step, branches, d, cols), dtype=complex)
-    ops_t = ops.transpose(0, 2, 1)
+    group = [(first, np.asarray(ops, dtype=complex)) for first, ops in group]
+    top, bottom = _group_span(group)
+    view = src.reshape(1 << (top - 1), 1 << (bottom - top + 1), -1)
+    pre, span, post = view.shape
+    budget = _CHUNK if len(group) == 1 else _TILE
+    # Rows of at least two amplitudes unless they are whole: rows of one
+    # amplitude take a right multiplication, which needs them to merge with
+    # the qubits above them, and only whole rows do.
+    cols = min(post, max(2, budget // span))
+    step = min(pre, max(1, budget // (span * cols)))
+    size = step * span * cols
+    if tiles is None:
+        tiles = np.empty((min(2, len(group)), size), dtype=complex)
+    outs = [tile[:size].reshape(step, span, cols) for tile in tiles]
+    # Every product's operands, as views made once: the first window reads
+    # the whole state, sliced to the tile in the loop; each later one reads
+    # the tile the window before it wrote.
+    products = []
+    for k, (first, ops) in enumerate(group):
+        last = window_span(first, ops)[1]
+        source = view if k == 0 else outs[(k - 1) % 2]
+        products.append(_operands(first - top, bottom - last, ops, source, outs[k % 2]))
+    pair, _, side = products[0]
+    head = pair[side]
+    above, per_col = group[0][0] - top, head.shape[-1] // post
     for i in range(0, pre, step):
+        # The rows axis of ``head`` is its first, but its second when it is
+        # the left operand of a right multiplication.
+        rows = (slice(None),) * (1 - side) + (slice(i << above, (i + step) << above), Ellipsis)
         for j in range(0, post, cols):
-            index = (slice(i, i + step), slice(None), slice(None), slice(j, j + cols))
-            block = view[index]
-            if cols == 1:
-                # One column (the operator ends on the last qubit): per
-                # control value the block is a (row, d) matrix, so right-
-                # multiply by ops[c]^T, one product per control value rather
-                # than one per row.
-                np.matmul(block[..., 0].transpose(1, 0, 2), ops_t,
-                          out=out[..., 0].transpose(1, 0, 2))
-            else:
-                np.matmul(ops, block, out=out)
-            yield index, out
+            pair[side] = head[rows + (slice(j * per_col, (j + cols) * per_col),)]
+            for (left, right), out, _ in products:
+                np.matmul(left, right, out=out)
+            yield (slice(i, i + step), slice(None), slice(j, j + cols)), outs[(len(group) - 1) % 2]
 
 
-def apply_multiplexed(buf: np.ndarray, first: int, ops: np.ndarray, src: np.ndarray | None = None) -> None:
-    """Write the operator of :func:`multiplexed_products` applied to ``src``
-    (by default ``buf`` itself, in place) into ``buf``, a writable
-    C-contiguous complex array of the same length.
+def _operands(above, below, ops, src, out) -> tuple[list, np.ndarray, int]:
+    """``([left, right], out, side)``, with ``np.matmul(left, right,
+    out=out)`` the product of one window on ``src`` into ``out``, arrays
+    (rows, span, cols) whose span has ``above`` qubits before the window's
+    and ``below`` after.  The operand that reads ``src`` is ``left`` if
+    ``side`` is 0, else ``right``."""
+    branches, d = ops.shape[:2]
+    whole_rows = src.shape[-1] == out.shape[-1]
+    x, y = (a.reshape(len(a) << above, branches, d, 1 << below, a.shape[-1]) for a in (src, out))
+    if whole_rows:
+        # The qubits after the window and the rows form one contiguous axis.
+        x, y = (a.reshape(*a.shape[:3], -1) for a in (x, y))
+    else:
+        # One matrix product per value of the qubits between the window and
+        # the rows.
+        x, y = (a.transpose(0, 3, 1, 2, 4) for a in (x, y))
+    if x.shape[-1] == 1:
+        # The window ends the span and the rows are single amplitudes: per
+        # control value the tile is a (rows, d) matrix, so right-multiply by
+        # ops[c]^T, one product per control value rather than one per row.
+        x, y = x[..., 0].transpose(1, 0, 2), y[..., 0].transpose(1, 0, 2)
+        return [x, ops.transpose(0, 2, 1)], y, 0
+    if not ops.imag.any():
+        return [np.ascontiguousarray(ops.real), x.view(np.float64)], y.view(np.float64), 1
+    return [ops, x], y, 1
 
-    Each block's product goes to one reused block-sized array and is then
-    copied into ``buf``, so no state-sized temporary is made (``out=`` on an
-    operand that aliases ``buf`` would make numpy copy the whole state).
+
+def apply_multiplexed(buf: np.ndarray, group, src: np.ndarray | None = None,
+                      tiles: np.ndarray | None = None) -> None:
+    """Write the group of :func:`multiplexed_products` applied to ``src`` (by
+    default ``buf`` itself, in place) into ``buf``, a writable C-contiguous
+    complex array of the same length.
+
+    Each tile's product is copied into ``buf`` once its every window has
+    played, so no state-sized temporary is made (``out=`` on an operand that
+    aliases ``buf`` would make numpy copy the whole state).
     """
-    view = buf.reshape(1 << (first - 1), *np.shape(ops)[:2], -1)
-    for index, product in multiplexed_products(buf if src is None else src, first, ops):
+    top, bottom = _group_span(group)
+    view = buf.reshape(1 << (top - 1), 1 << (bottom - top + 1), -1)
+    for index, product in multiplexed_products(buf if src is None else src, group, tiles):
         view[index] = product
 
 
@@ -255,4 +326,4 @@ def apply_gate(buf: np.ndarray, target: int, coins: np.ndarray) -> None:
         raise ValueError(
             f"target={target} out of range for a {len(coins)}-matrix gate on {n} qubits"
         )
-    apply_multiplexed(buf, target - window, coins)
+    apply_multiplexed(buf, [(target - window, coins)])

@@ -19,10 +19,13 @@ Dense evaluation plays the games by windows.  Consecutive games target
 consecutive qubits, so a window of m games acts on its m targets and reads,
 as controls, at most the two qubits just above them, which it never changes.
 Its operator is one 2**m-square matrix per value of those controls, built by
-``statevector.apply_gate`` on identity columns, so this rule is written once,
-and applied to the state in one pass of ``statevector.multiplexed_products``.
-``play_to_last_window`` is the one window driver: it plays every window but
-the last, reading the initial amplitudes in the first and never writing them.
+``statevector.apply_gate`` on identity columns, so this rule is written once.
+Consecutive windows are played in groups, one pass of
+``statevector.multiplexed_products`` over the state each (``_groups``): on
+the 22 qubits of (AAB)^7 A, windows 1-2 and then windows 3-5, two passes
+instead of five.
+``play_to_last_window`` is the one driver: it plays every group but the
+last, reading the initial amplitudes in the first and never writing them.
 
 Each engine input enters once.  ``initial_amplitudes`` turns a caller's
 initial state (a name, a StateVector or amplitudes) into the amplitudes the
@@ -43,6 +46,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import statevector
 from .statevector import (
     StateVector,
     apply_gate,
@@ -51,12 +55,19 @@ from .statevector import (
     check_coins,
     check_register_size,
     make_named_state,
+    window_span,
 )
 
 # Most games fused into one window.  A window of m games costs 2**m complex
 # multiply-adds per amplitude in its one pass over the state, so past a few
 # games the arithmetic outweighs the memory traffic the window saves.
 _MAX_WINDOW = 5
+
+# Narrowest contiguous row, in amplitudes, that a group of windows other than
+# the last may leave in its tiles and in the state (``_groups``): narrower
+# rows make the matrix products and the copies slower than the passes they
+# save.
+_ROW = 1 << 7
 
 
 @dataclass(frozen=True)
@@ -103,6 +114,17 @@ def ghz_phase_sensitive(plan: CircuitPlan) -> bool:
     qubit's identity factor is 0 on a cross pair for every y.  That every
     plan passing this rule does depend on the phases is held by the tests,
     against the walk.
+
+    What is left on a plan the rule calls phase-blind is classical.  The
+    walk's diagonal pairs (b, b) carry |<y|U|b>|^2, real transition
+    probabilities over the last two outcomes: each is a
+    ``classical.HistoryChain``.  Pair (1, 0) is the complex conjugate of
+    (0, 1), so the cross pairs add 2 Re of one chain, which sums to zero
+    here.  The GHZ total is then the mean of two classical totals: seeds
+    (0, 0) with the lose probabilities, and seeds (1, 1) with their
+    complements, since a coin on |1> wins with the lose probability.  The
+    tests hold this identity, with the walk and ``classical`` kept as two
+    separate routes.
     """
     # With no seed qubit, game k's target is read by games k + 1 and k + 2.
     tokens = plan.tokens
@@ -192,28 +214,65 @@ def _windows(plan: CircuitPlan, gates: dict):
         yield plan.seed_count + end - len(window) + 1 - controls, ops
 
 
+def _groups(plan: CircuitPlan, windows):
+    """The windows of the plan, in play order, cut into groups that
+    ``statevector.multiplexed_products`` plays in one pass over the state.
+
+    A group's span runs from its first qubit to the last that any of its
+    windows acts on, and a tile holds the span times a run of the qubits after it, at
+    most _TILE amplitudes in all.  A window joins the group before it while
+    the joined span leaves rows of at least _ROW amplitudes in a tile, or
+    while the group's first qubit and every qubit after it fit one tile: the
+    group then takes every later window and is the last.  So a group before
+    the last also leaves at least _ROW amplitudes after its span in the
+    state.  A register that fits one tile already sits in cache, so there
+    every window is its own group.
+    """
+    n = plan.total_qubits
+    tile = statevector._TILE.bit_length() - 1
+    row = _ROW.bit_length() - 1
+    if n <= tile:
+        yield from ([window] for window in windows)
+        return
+    group, top = [], n
+    for window in windows:
+        first, last = window_span(*window)
+        joined = min(top, first)
+        if group and (last - joined + 1 <= tile - row or n - joined < tile):
+            group.append(window)
+            top = joined
+            continue
+        if group:
+            yield group
+        group, top = [window], first
+    yield group
+
+
 def play_to_last_window(
-    plan: CircuitPlan, coins: np.ndarray, init: np.ndarray, work: np.ndarray
-) -> tuple[np.ndarray, int, np.ndarray]:
-    """The window driver of every dense evaluation: play every window of the
-    plan but the last, and return ``(amplitudes, first, ops)``, the state
-    before the last window and that window, for the caller to finish with
-    ``statevector.multiplexed_products`` or ``apply_multiplexed``.
+    plan: CircuitPlan, coins: np.ndarray, init: np.ndarray, work: np.ndarray,
+    tiles: np.ndarray | None = None,
+) -> tuple[np.ndarray, list]:
+    """The driver of every dense evaluation: play every group of windows of
+    the plan (``_groups``) but the last, each in one pass of
+    ``statevector.apply_multiplexed``, and return ``(amplitudes, group)``,
+    the state before the last group and that group, which holds the last
+    window, for the caller to finish with ``multiplexed_products`` or
+    ``apply_multiplexed``.
 
     ``coins`` is a checked (5, 2, 2) complex array.  ``init`` is the initial
-    amplitudes of ``initial_amplitudes`` and is only read: the first window
+    amplitudes of ``initial_amplitudes`` and is only read: the first group
     reads it and writes the work buffer ``work``, a writable complex array of
     the same length that shares no memory with ``init``, and every later
-    window updates that buffer in place, one pass each.  For a one-window
-    plan nothing is played and ``work`` is not touched: the amplitudes
-    returned are ``init`` itself; otherwise they are ``work``.
+    group updates that buffer in place.  ``tiles`` is handed to the kernel.
+    For a one-group plan nothing is played and ``work`` is not touched: the
+    amplitudes returned are ``init`` itself; otherwise they are ``work``.
     """
-    windows = _windows(plan, {"A": coins[:1], "B": coins[1:]})
-    state, window = init, next(windows)
-    for following in windows:
-        apply_multiplexed(work, *window, src=state)
-        state, window = work, following
-    return (state, *window)
+    groups = _groups(plan, _windows(plan, {"A": coins[:1], "B": coins[1:]}))
+    state, group = init, next(groups)
+    for following in groups:
+        apply_multiplexed(work, group, src=state, tiles=tiles)
+        state, group = work, following
+    return state, group
 
 
 def run(plan: CircuitPlan, coins: np.ndarray, init) -> StateVector:
@@ -222,15 +281,15 @@ def run(plan: CircuitPlan, coins: np.ndarray, init) -> StateVector:
     ``coins.games_from_bias``: game A tosses ``coins[0]``, game B one of
     ``coins[1:]``.  The coins are checked by ``check_coins``.
 
-    The windows are played by ``play_to_last_window`` in one fresh buffer,
-    so ``init`` is left unchanged.  The last window writes its products into
-    that buffer too, and the buffer is handed, read-only and uncopied, to
-    the returned StateVector, which checks the final norm.
+    The groups of windows are played by ``play_to_last_window`` in one fresh
+    buffer, so ``init`` is left unchanged.  The last group writes its
+    products into that buffer too, and the buffer is handed, read-only and
+    uncopied, to the returned StateVector, which checks the final norm.
     """
     coins = check_coins(coins)
     amps = initial_amplitudes(plan, init)
     buf = np.empty_like(amps)
-    state, first, ops = play_to_last_window(plan, coins, amps, buf)
-    apply_multiplexed(buf, first, ops, src=state)
+    state, group = play_to_last_window(plan, coins, amps, buf)
+    apply_multiplexed(buf, group, src=state)
     buf.setflags(write=False)
     return StateVector(plan.total_qubits, buf)

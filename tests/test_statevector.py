@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import qparrondo
-from qparrondo import statevector, wiring
+from qparrondo import payoff, statevector, wiring
 from qparrondo.coins import PhaseAssignment, games_from_bias, su2_matrix
 from qparrondo.statevector import (
     MAX_QUBITS,
@@ -24,6 +24,7 @@ from qparrondo.statevector import (
     make_basis_state,
     make_named_state,
 )
+from qparrondo.payoff import payoff_expectation
 from qparrondo.wiring import compile_sequence, run
 
 ATOL = 1e-12
@@ -670,9 +671,167 @@ def test_multiplexed_operator_matches_kronecker_reference(chunk, monkeypatch):
                         np.eye(1 << (n - first - w - m + 1)),
                     )
                     buf = np.array(amps)
-                    apply_multiplexed(buf, first, ops)
+                    apply_multiplexed(buf, [(first, ops)])
                     assert np.allclose(buf, whole @ amps, atol=ATOL, rtol=0.0), (n, w, m, first)
 
+
+# --- groups of windows: one pass per group, real products for real operators ---
+
+def random_window(rng, n):
+    """(first, ops) of a random window on n qubits, with real operators half
+    of the time."""
+    w = int(rng.integers(0, min(2, n - 1) + 1))
+    m = int(rng.integers(1, min(3, n - w) + 1))
+    first = int(rng.integers(1, n - w - m + 2))
+    shape = (1 << w, 1 << m, 1 << m)
+    ops = rng.standard_normal(shape)
+    if rng.integers(2):
+        ops = ops + 1j * rng.standard_normal(shape)
+    return first, ops
+
+
+def kronecker_operator(n, first, ops):
+    """kron(I, block_diag(ops), I): the operator a window applies on n qubits."""
+    qubits = (len(ops) * len(ops[0])).bit_length() - 1
+    return np.kron(
+        np.kron(np.eye(1 << (first - 1)), block_diag(ops)),
+        np.eye(1 << (n - first - qubits + 1)),
+    )
+
+
+@pytest.mark.parametrize("tile", [4, 16, 64, None])
+def test_groups_match_kronecker_reference(tile, monkeypatch):
+    # Groups of one to three windows anywhere on 1-8 qubits, real and complex
+    # operators, whose spans overlap or leave qubits between them: the group
+    # applies the product of its windows' operators, in play order.  Small
+    # tiles send small states through every tile loop.  Tiles filled with NaN
+    # must be written before they are read.
+    if tile is not None:
+        monkeypatch.setattr(statevector, "_TILE", tile)
+        monkeypatch.setattr(statevector, "_CHUNK", tile)
+    rng = np.random.default_rng(980)
+    for n in range(1, 9):
+        amps = random_state(n, rng).amplitudes
+        for _ in range(40):
+            group = [random_window(rng, n) for _ in range(int(rng.integers(1, 4)))]
+            expected = amps
+            for first, ops in group:
+                expected = kronecker_operator(n, first, ops) @ expected
+            tiles = np.full((2, 1 << n), math.nan, dtype=complex)
+            for kept in (None, tiles):
+                buf = np.array(amps)
+                apply_multiplexed(buf, group, tiles=kept)
+                assert np.allclose(buf, expected, atol=ATOL, rtol=1e-13), (n, group)
+
+
+def test_real_operators_take_real_products(monkeypatch):
+    # An operator with no imaginary part plays on the float64 view of the
+    # state; a complex one, and the right multiplication of a window that
+    # ends on the last qubit, on the complex state.
+    calls = []
+    real_matmul = np.matmul
+
+    def matmul(a, b, out):
+        calls.append((a.dtype.kind, b.dtype.kind, out.dtype.kind))
+        return real_matmul(a, b, out=out)
+
+    monkeypatch.setattr(statevector.np, "matmul", matmul)
+    amps = np.array(random_state(6, np.random.default_rng(981)).amplitudes)
+    rotation = su2_matrix(0.7)
+    apply_multiplexed(amps, [(2, (rotation,))])
+    apply_multiplexed(amps, [(2, (random_unitary(np.random.default_rng(982)),))])
+    apply_multiplexed(amps, [(6, (rotation,))])
+    assert calls == [("f", "f", "f"), ("c", "c", "c"), ("c", "c", "c")]
+
+
+def real_coins(rng):
+    """Five real rotations: SU(2) coins with zero phases."""
+    coins = np.array([su2_matrix(rng.uniform(-math.pi, math.pi)) for _ in range(5)])
+    assert not coins.imag.any()
+    return coins
+
+
+def multi_window_groups(plan, coins):
+    """How many groups of the plan's dense driver hold several windows, the
+    last group and the others."""
+    groups = list(wiring._groups(plan, wiring._windows(plan, coin_matrices(coins))))
+    return len(groups[-1]) > 1, sum(len(group) > 1 for group in groups[:-1])
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(
+    seq=st.text("AB", min_size=6, max_size=14).filter(
+        lambda seq: 8 <= compile_sequence(seq).total_qubits <= 14
+    ),
+    seed=st.integers(0, 2**32 - 1),
+    tile=st.sampled_from([4, 5, 6]),
+    row=st.sampled_from([1, 2]),
+    real=st.booleans(),
+)
+def test_grouped_driver_matches_gate_loop(seq, seed, tile, row, real):
+    # Tiles of 2**4 to 2**6 amplitudes and rows of 2 or 4 split 8-14-qubit
+    # plans into several groups.  run, and the dense total played into a work
+    # buffer and tiles filled with NaN, agree with the game-by-game loop and
+    # with the payoff of the run state, on random complex coins and on real
+    # coins (zero phases).
+    rng = np.random.default_rng(seed)
+    plan = compile_sequence(seq)
+    n = plan.total_qubits
+    init = random_state(n, rng)
+    coins = real_coins(rng) if real else random_coins(rng)
+    expected = gate_loop(plan, coins, init.amplitudes)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(statevector, "_TILE", 1 << tile)
+        patch.setattr(statevector, "_CHUNK", 1 << tile)
+        patch.setattr(wiring, "_ROW", 1 << row)
+        out = run(plan, coins, init)
+        work = np.full_like(init.amplitudes, math.nan)
+        tiles = np.full((2, 1 << n), math.nan, dtype=complex)
+        total = payoff._dense_total(plan, coins, init.amplitudes, work, tiles)
+    assert np.allclose(out.amplitudes, expected, atol=ATOL, rtol=0.0)
+    assert abs(total - payoff_expectation(out)) <= 1e-13
+    assert abs(total - payoff_expectation(StateVector(n, expected))) <= 1e-13
+
+
+def test_small_tiles_make_groups_of_several_windows(monkeypatch):
+    # The property test above is not vacuous: with tiles of 2**6 amplitudes
+    # and rows of 2, many plans of 11 tokens play groups of several windows,
+    # last and not last.
+    monkeypatch.setattr(statevector, "_TILE", 1 << 6)
+    monkeypatch.setattr(wiring, "_ROW", 1 << 1)
+    coins = games_from_bias(0.0)
+    found = [multi_window_groups(compile_sequence(seq), coins) for seq in token_strings(11)]
+    assert sum(last for last, _ in found) > 100
+    assert sum(others > 0 for _, others in found) > 100
+
+
+@pytest.mark.parametrize("seq", ["AAB" * 6, "B" * 16])
+@pytest.mark.parametrize("phased", [False, True], ids=["real", "phased"])
+def test_grouped_driver_at_the_real_tile_size(seq, phased):
+    # 18 qubits, above one tile of 2**16 amplitudes: the plan plays in groups
+    # of several windows with the real constants, on real coins (zero phases)
+    # and on phased coins.
+    rng = np.random.default_rng(990)
+    plan = compile_sequence(seq)
+    n = plan.total_qubits
+    assert n == 18
+    phases = PhaseAssignment(
+        gamma=rng.uniform(0, 2 * math.pi),
+        delta=rng.uniform(0, 2 * math.pi),
+        alphas=tuple(rng.uniform(0, 2 * math.pi, 4)),
+        betas=tuple(rng.uniform(0, 2 * math.pi, 4)),
+    ) if phased else None
+    coins = games_from_bias(0.013, phases)
+    assert bool(coins.imag.any()) == phased
+    assert multi_window_groups(plan, coins)[0]
+    init = random_state(n, rng)
+    expected = gate_loop(plan, coins, init.amplitudes)
+    out = run(plan, coins, init)
+    assert np.allclose(out.amplitudes, expected, atol=ATOL, rtol=0.0)
+    work = np.empty_like(init.amplitudes)
+    total = payoff._dense_total(plan, coins, init.amplitudes, work)
+    assert abs(total - payoff_expectation(StateVector(n, expected))) <= 1e-13
+    assert abs(total - payoff_expectation(out)) <= 1e-13
 
 # --- memory: no state-sized temporaries (tracemalloc sees numpy's buffers) ---
 

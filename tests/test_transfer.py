@@ -1,19 +1,20 @@
+import itertools
 import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from qparrondo import payoff, statevector
-from qparrondo.classical import classical_sequence_payoff
-from qparrondo.coins import PhaseAssignment, games_from_bias, su2_matrix
+from qparrondo.classical import classical_sequence_payoff, classical_sequence_total
+from qparrondo.coins import PhaseAssignment, games_from_bias, lose_probs, su2_matrix
 from qparrondo.optimize import optimize_phases
 from qparrondo.payoff import payoff_epsilon_expansion, payoff_expectation, sequence_payoff
 from qparrondo.statevector import make_named_state
 from qparrondo.table import build_table
-from qparrondo.transfer import transfer_total
-from qparrondo.wiring import compile_sequence, run
+from qparrondo.transfer import transfer_total, walk_total
+from qparrondo.wiring import compile_sequence, ghz_phase_sensitive, run
 
 ATOL = 1e-12
 
@@ -128,6 +129,65 @@ def test_optimizer_runs_past_the_cap():
     assert math.isfinite(result.best_value)
     assert result.best_value == sequence_payoff("B" * 30, init="ghz", phases=result.best_phases)
 
+
+
+# --- GHZ on a phase-blind plan: the mean of two classical chains ---
+
+def two_chain_total(seq, eps):
+    """The mean of two classical totals: seeds (0, 0) with the lose
+    probabilities, and seeds (1, 1) with their complements, since a coin on
+    |1> wins with the lose probability."""
+    lose = lose_probs(eps)
+    zeros = classical_sequence_total(seq, seeds=(0, 0), lose=lose)[0]
+    ones = classical_sequence_total(seq, seeds=(1, 1), lose=1.0 - lose)[0]
+    return 0.5 * (zeros + ones)
+
+
+def random_phase_assignment(rng):
+    return PhaseAssignment(
+        gamma=rng.uniform(0, 2 * math.pi),
+        delta=rng.uniform(0, 2 * math.pi),
+        alphas=tuple(rng.uniform(0, 2 * math.pi, 4)),
+        betas=tuple(rng.uniform(0, 2 * math.pi, 4)),
+    )
+
+
+def test_ghz_is_the_mean_of_two_classical_chains_on_every_short_phase_blind_plan():
+    # Every plan of at most 10 tokens that ghz_phase_sensitive calls
+    # phase-blind, at a random bias and random phases
+    rng = np.random.default_rng(1600)
+    plans = 0
+    for length in range(1, 11):
+        for tokens in itertools.product("AB", repeat=length):
+            seq = "".join(tokens)
+            plan = compile_sequence(seq)
+            if ghz_phase_sensitive(plan):
+                continue
+            eps = rng.uniform(-0.09, 0.09)
+            coins = games_from_bias(eps, random_phase_assignment(rng))
+            assert abs(walk_total(plan, coins, "ghz") - two_chain_total(seq, eps)) <= 1e-13, seq
+            plans += 1
+    assert plans == 1991
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(
+    length=st.integers(11, 3000),
+    b_share=st.floats(0.2, 1.0),
+    seed=st.integers(0, 2**32 - 1),
+    eps=st.floats(-0.09, 0.09),
+    phases=phase_assignments,
+)
+@example(length=3000, b_share=1.0, seed=0, eps=-0.08, phases=PhaseAssignment())
+def test_ghz_is_the_mean_of_two_classical_chains_on_long_plans(length, b_share, seed, eps, phases):
+    # Up to 3000 tokens, far past the dense cap, B-heavy to mixed; the total
+    # lies in [-n, n], so the bound is relative to the register
+    rng = np.random.default_rng(seed)
+    seq = "".join(np.where(rng.random(length) < b_share, "B", "A"))
+    plan = compile_sequence(seq)
+    assume(not ghz_phase_sensitive(plan))
+    walk = walk_total(plan, games_from_bias(eps, phases), "ghz")
+    assert abs(walk - two_chain_total(seq, eps)) <= 1e-12 * plan.total_qubits
 
 # --- checks the walk shares with the dense engine ---
 

@@ -8,9 +8,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qparrondo import statevector
+from qparrondo import wiring as wiring_module
 from qparrondo.coins import PhaseAssignment, games_from_bias
 from qparrondo.payoff import Evaluator
-from qparrondo.statevector import make_basis_state, make_named_state
+from qparrondo.statevector import make_basis_state, make_named_state, window_span
 from qparrondo.transfer import transfer_total
 from qparrondo.wiring import compile_sequence, ghz_phase_sensitive, initial_amplitudes, run
 
@@ -390,3 +391,85 @@ def test_custom_states_are_always_phase_sensitive():
             state = make_named_state(n, kind)
             assert Evaluator(seq, state).phase_sensitive is True
             assert Evaluator(seq, state.amplitudes).phase_sensitive is True
+
+
+# --- the dense driver's groups of windows ---
+
+def plan_windows(plan):
+    """The windows of the plan, (first, ops) in play order, at zero bias."""
+    coins = games_from_bias(0.0)
+    return list(wiring_module._windows(plan, {"A": coins[:1], "B": coins[1:]}))
+
+
+def group_spans(plan, windows=None):
+    """The (first, last) qubits of each window of each group that the dense
+    driver plays in one pass."""
+    groups = wiring_module._groups(plan, iter(windows or plan_windows(plan)))
+    return [[window_span(*window) for window in group] for group in groups]
+
+
+def check_grouping_rule(plan, windows, tile, row):
+    """The grouping rule as this test states it, on tiles of 2**tile and rows
+    of 2**row amplitudes: the groups hold the windows in play order; a
+    register of at most one tile plays every window alone; a group of several
+    windows but the last leaves rows of 2**row in its tiles and in the state;
+    the last group ends on the last qubit and, if it holds several windows,
+    spans at most one tile from its first qubit on; and no window could have
+    joined the group before it."""
+    n = plan.total_qubits
+    spans = group_spans(plan, windows)
+    assert [span for group in spans for span in group] == [window_span(*w) for w in windows]
+    if n <= tile:
+        assert all(len(group) == 1 for group in spans)
+        return
+    for k, group in enumerate(spans):
+        top, bottom = min(f for f, _ in group), max(last for _, last in group)
+        if k == len(spans) - 1:
+            assert bottom == n
+            assert len(group) == 1 or n - top + 1 <= tile
+            break
+        if len(group) > 1:
+            assert bottom - top + 1 + row <= tile and n - bottom >= row
+        first, last = spans[k + 1][0]
+        top = min(top, first)
+        assert last - top + 1 + row > tile
+        assert n - top + 1 > tile
+
+
+def test_the_22_qubit_bias_expansion_plays_in_two_passes():
+    # Windows 1-2 on qubits 1-7, in tiles of 2**7 x 2**9, then windows 3-5 on
+    # qubits 7-22, in tiles of 2**16 that the last window ends
+    assert group_spans(compile_sequence("AAB" * 7 + "A")) == [
+        [(1, 2), (1, 7)],
+        [(7, 12), (13, 17), (16, 22)],
+    ]
+
+
+def test_registers_of_one_tile_play_every_window_alone():
+    for seq in ("AAB" * 5 + "A", "B" * 14, "A" * 16):
+        spans = group_spans(compile_sequence(seq))
+        assert len(spans) > 1 and all(len(group) == 1 for group in spans)
+
+
+def test_groups_follow_the_rule_on_every_short_plan(monkeypatch):
+    # Tiles of 2**4 to 2**7 and rows of 2 to 8 amplitudes group the windows
+    # of 1-12 qubits
+    for length in range(1, 11):
+        for tokens in itertools.product("AB", repeat=length):
+            plan = compile_sequence("".join(tokens))
+            windows = plan_windows(plan)
+            for tile, row in [(4, 1), (5, 1), (5, 2), (6, 1), (6, 2), (7, 3)]:
+                monkeypatch.setattr(statevector, "_TILE", 1 << tile)
+                monkeypatch.setattr(wiring_module, "_ROW", 1 << row)
+                check_grouping_rule(plan, windows, tile, row)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(seq=st.text("AB", min_size=15, max_size=24).filter(
+    lambda seq: compile_sequence(seq).total_qubits <= 24
+))
+def test_groups_follow_the_rule_on_large_registers(seq):
+    # The real tile (2**16) and rows (2**7), on 15-24 qubits
+    plan = compile_sequence(seq)
+    tile = statevector._TILE.bit_length() - 1
+    check_grouping_rule(plan, plan_windows(plan), tile, wiring_module._ROW.bit_length() - 1)
