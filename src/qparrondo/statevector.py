@@ -231,6 +231,8 @@ def multiplexed_products(src: np.ndarray, group, tiles: np.ndarray | None = None
     top, bottom = _group_span(group)
     view = src.reshape(1 << (top - 1), 1 << (bottom - top + 1), -1)
     pre, span, post = view.shape
+    # A window alone needs one block, not two tiles: on a register of one
+    # tile a tile-sized block would be a second copy of the state.
     budget = _CHUNK if len(group) == 1 else _TILE
     # Rows of at least two amplitudes unless they are whole: rows of one
     # amplitude take a right multiplication, which needs them to merge with
