@@ -8,11 +8,13 @@ closes the remaining gap from grid resolution (about 2e-3) to ~1e-6.
 
 The search is deterministic: it starts from the all-zero assignment, scans
 each coordinate over the same grid in order, and breaks ties toward the
-smaller angle by accepting strict improvements only.  A coordinate is the
-phase of one coin, so the coins of every grid angle are built once per
-search, and a grid point evaluates the current coins with that one coin
-swapped in (``Evaluator.payoff_of_coins``): the same coins, bit for bit, as
-``games_from_bias`` builds there.
+smaller angle by accepting strict improvements only.  One trial rule serves
+every point it tries, a grid angle and a quadratic refinement alike: the
+current coins, with the coin of the coordinate it moves swapped for the same
+coin of ``games_from_bias`` with every searched phase at the trial angle.
+Each coin reads only its own phases, so a trial holds the coins that
+``games_from_bias`` builds at the trial phases.  The grid angles' coins are
+built once per search.
 
 Only five of the ten phases are searched: game A's delta and the four B
 betas.  Every coin is Rz(gamma) R(theta) Rz(delta) (see ``coins.su2_matrix``),
@@ -84,84 +86,67 @@ def optimize_phases(
         evaluations += 1
         return evaluator.payoff_of_coins(coins)
 
-    def coins_at(x: np.ndarray) -> np.ndarray:
-        return games_from_bias(eps, _assignment_from_vector(x))
+    def coins_with_phase(a: float) -> np.ndarray:
+        return games_from_bias(eps, PhaseAssignment(delta=a, betas=(a,) * 4))
 
     x = np.zeros(len(COORD_NAMES))
-    grid = np.linspace(0.0, 2.0 * np.pi, GRID_POINTS, endpoint=False)
-    step = grid[1] - grid[0]
-
-    coins = coins_at(x)
+    coins = coins_with_phase(0.0)
     best = objective(coins)
     trace = [best]
-    if not evaluator.phase_sensitive:
-        return OptimizationResult(
-            best_value=best,
-            best_phases=_assignment_from_vector(x),
-            direction=direction,
-            converged=True,
-            evaluations=evaluations,
-            phase_sensitive=False,
-            trace=trace,
-        )
+    converged = True
+    if evaluator.phase_sensitive:
+        grid = np.linspace(0.0, 2.0 * np.pi, GRID_POINTS, endpoint=False)
+        step = grid[1] - grid[0]
+        grid_coins = np.array([coins_with_phase(g) for g in grid])
+        converged = False
+        for _ in range(max_sweeps):
+            sweep_start = best
+            for i in range(len(x)):
+                # Grid scan; strict improvement breaks ties toward smaller angles.
+                trial = coins.copy()
+                values = np.empty(GRID_POINTS)
+                for k in range(GRID_POINTS):
+                    trial[i] = grid_coins[k, i]
+                    values[k] = objective(trial)
+                k_best = int(np.argmax(sign * values))
+                if sign * values[k_best] > sign * best:
+                    best = float(values[k_best])
+                    x[i] = grid[k_best]
+                    coins[i] = grid_coins[k_best, i]
 
-    # Coin i of grid_coins[k] has its searched phase at grid[k].  Each coin
-    # reads only its own phases, so a grid point's coins are the current
-    # coins, which ``coins_at(x)`` would build, with coin i from this table.
-    grid_coins = np.array(
-        [games_from_bias(eps, PhaseAssignment(delta=g, betas=(g,) * 4)) for g in grid]
-    )
-    converged = False
-    for _ in range(max_sweeps):
-        sweep_start = best
-        for i in range(len(x)):
-            # Grid scan; strict improvement breaks ties toward smaller angles.
-            trial = coins.copy()
-            values = np.empty(GRID_POINTS)
-            for k in range(GRID_POINTS):
-                trial[i] = grid_coins[k, i]
-                values[k] = objective(trial)
-            k_best = int(np.argmax(sign * values))
-            if sign * values[k_best] > sign * best:
-                best = float(values[k_best])
-                x[i] = grid[k_best]
-                coins[i] = grid_coins[k_best, i]
+                # Quadratic refinement through the best grid point and neighbors.
+                f_m = values[(k_best - 1) % GRID_POINTS]
+                f_0 = values[k_best]
+                f_p = values[(k_best + 1) % GRID_POINTS]
+                denom = f_m - 2.0 * f_0 + f_p
+                if abs(denom) > 1e-15:
+                    offset = 0.5 * step * (f_m - f_p) / denom
+                    if abs(offset) <= step:
+                        a = float(np.mod(grid[k_best] + offset, 2.0 * np.pi))
+                        trial[i] = coins_with_phase(a)[i]
+                        if sign * (v := objective(trial)) > sign * best:
+                            best = v
+                            x[i] = a
+                            coins[i] = trial[i]
+            trace.append(best)
+            if sign * (best - sweep_start) < CONVERGENCE_TOL:
+                converged = True
+                break
 
-            # Quadratic refinement through the best grid point and neighbors.
-            f_m = values[(k_best - 1) % GRID_POINTS]
-            f_0 = values[k_best]
-            f_p = values[(k_best + 1) % GRID_POINTS]
-            denom = f_m - 2.0 * f_0 + f_p
-            if abs(denom) > 1e-15:
-                offset = 0.5 * step * (f_m - f_p) / denom
-                if abs(offset) <= step:
-                    x_current = x[i]
-                    x[i] = float(np.mod(grid[k_best] + offset, 2.0 * np.pi))
-                    refined = coins_at(x)
-                    if sign * (v := objective(refined)) > sign * best:
-                        best = v
-                        coins = refined
-                    else:
-                        x[i] = x_current
-        trace.append(best)
-        if sign * (best - sweep_start) < CONVERGENCE_TOL:
-            converged = True
-            break
-
-    # Purity: a fresh evaluation at the reported phases, its coins built anew
-    # by games_from_bias, must reproduce the reported value bit for bit.  An
-    # explicit check, so it survives -O.
-    final_value = objective(coins_at(x))
-    if final_value != best:
-        raise RuntimeError(
-            f"re-evaluation at the reported phases gave {final_value!r}, not {best!r}"
-        )
+        # Purity: a fresh evaluation at the reported phases, its coins built
+        # anew by games_from_bias, must reproduce the reported value bit for
+        # bit.  An explicit check, so it survives -O.
+        final_value = objective(games_from_bias(eps, _assignment_from_vector(x)))
+        if final_value != best:
+            raise RuntimeError(
+                f"re-evaluation at the reported phases gave {final_value!r}, not {best!r}"
+            )
     return OptimizationResult(
         best_value=best,
         best_phases=_assignment_from_vector(x),
         direction=direction,
         converged=converged,
         evaluations=evaluations,
-        phase_sensitive=True,
+        phase_sensitive=evaluator.phase_sensitive,
         trace=trace,
     )

@@ -30,15 +30,22 @@ biases = st.floats(-0.05, 0.05, exclude_min=True, exclude_max=True)
 
 # --- independent brute-force oracle ---
 
-def brute_force_total(seq, eps, seeds="uniform"):
-    """Expected total payoff by enumerating every seed and outcome path."""
+def paper_lose(eps):
+    """The paper's lose probabilities at bias eps: A, then B after (lost,lost),
+    (lost,won), (won,lost) and (won,won)."""
+    return (0.5 + eps, 0.1 + eps, 0.75 + eps, 0.75 + eps, 0.3 + eps)
+
+
+def brute_force_total(seq, lose, seeds="uniform"):
+    """Expected total payoff by enumerating every seed and outcome path, with
+    the five lose probabilities ``lose`` in the order of ``paper_lose``."""
     plan = compile_sequence(seq)
-    a_win = 0.5 - eps
+    a_win = 1.0 - lose[0]
     b_win = {
-        (0, 0): 0.9 - eps,
-        (0, 1): 0.25 - eps,
-        (1, 0): 0.25 - eps,
-        (1, 1): 0.7 - eps,
+        (0, 0): 1.0 - lose[1],
+        (0, 1): 1.0 - lose[2],
+        (1, 0): 1.0 - lose[3],
+        (1, 1): 1.0 - lose[4],
     }
     sc = plan.seed_count
     if seeds == "uniform":
@@ -66,8 +73,22 @@ def brute_force_total(seq, eps, seeds="uniform"):
 @pytest.mark.parametrize("seq", ["B", "BB", "AB", "AAB", "ABAB", "BBB", "AABA"])
 @pytest.mark.parametrize("eps", [0.0, 0.003, -0.02])
 def test_enumeration_matches_brute_force(seq, eps):
-    expected, qubits = brute_force_total(seq, eps)
+    expected, qubits = brute_force_total(seq, paper_lose(eps))
     total, plan = classical_sequence_total(seq, eps)
+    assert plan.total_qubits == qubits
+    assert abs(total - expected) < ATOL
+
+
+# The paper's two middle B branches lose alike, so only a game whose
+# (lost,won) and (won,lost) branches differ can tell them apart.
+UNEVEN_LOSE = (0.5, 0.1, 0.6, 0.8, 0.3)
+
+
+@pytest.mark.parametrize("seq", ["BB", "ABB", "BAB", "AABBA"])
+@pytest.mark.parametrize("seed_bits", [(0, 1), (1, 0), pytest.param("uniform", id="uniform")])
+def test_enumeration_matches_brute_force_with_uneven_middle_branches(seq, seed_bits):
+    expected, qubits = brute_force_total(seq, UNEVEN_LOSE, seed_bits)
+    total, plan = classical_sequence_total(seq, seeds=seed_bits, lose=np.array(UNEVEN_LOSE))
     assert plan.total_qubits == qubits
     assert abs(total - expected) < ATOL
 
@@ -78,7 +99,7 @@ def test_enumeration_matches_brute_force(seq, eps):
 @PROPERTY
 @given(seq=sequences, eps=biases)
 def test_enumeration_matches_brute_force_fixed_seeds(seed_bits, seq, eps):
-    expected, qubits = brute_force_total(seq, eps, seed_bits)
+    expected, qubits = brute_force_total(seq, paper_lose(eps), seed_bits)
     total, plan = classical_sequence_total(seq, eps, seeds=seed_bits)
     assert plan.total_qubits == qubits
     assert abs(total - expected) < ATOL

@@ -173,6 +173,31 @@ def test_payoff_rejects_nan_phase_with_exit_3(runner, tmp_path):
     assert "gamma" in error_text(result)
 
 
+@pytest.mark.parametrize(
+    "option, doc, prefix",
+    [
+        ("--phases", "not json", "phases file: Expecting value"),
+        (
+            "--phases",
+            json.dumps({"A": {"gamma": 0.0}, "B": [{"alpha": 0.0, "beta": 0.0}] * 4}),
+            "phases file: missing field 'delta'",
+        ),
+        ("--init", None, "init file: [Errno 2]"),
+    ],
+    ids=["phases-not-json", "phases-no-delta", "init-missing"],
+)
+def test_unreadable_input_files_exit_3(runner, tmp_path, option, doc, prefix):
+    path = tmp_path / "input.json"
+    if doc is not None:
+        path.write_text(doc)
+    result = runner.invoke(main, ["payoff", "--sequence", "AB", option, str(path)])
+    assert result.exit_code == 3
+    assert result.stdout == ""
+    text = error_text(result)
+    assert text.startswith(f"error: {prefix}")
+    assert text.count("\n") == 1
+
+
 PHASES_DOC = (
     '{"A": {"gamma": %s, "delta": 0.0}, "B": ['
     + ", ".join(['{"alpha": 0.0, "beta": 0.0}'] * 4)
@@ -426,9 +451,21 @@ def test_classical_threshold_rejects_both_sequence_and_policy(runner):
     assert "--sequence" in error_text(result) and "--policy" in error_text(result)
 
 
-def test_classical_requires_mode_arguments(runner):
-    result = runner.invoke(main, ["classical", "--mode", "sequence"])
+@pytest.mark.parametrize(
+    "args, message",
+    [
+        (["classical", "--mode", "sequence"], "mode 'sequence' needs --sequence"),
+        (["classical", "--mode", "stationary"], "mode 'stationary' needs --policy"),
+        (["classical", "--mode", "threshold"], "mode 'threshold' needs --sequence or --policy"),
+        (["table1", "--repetitions", "1"], "repetitions must be at least 2"),
+    ],
+    ids=["sequence", "stationary", "threshold", "table1-repetitions"],
+)
+def test_missing_or_invalid_arguments_exit_3(runner, args, message):
+    result = runner.invoke(main, args)
     assert result.exit_code == 3
+    assert result.stdout == ""
+    assert error_text(result) == f"error: {message}\n"
 
 
 # --- output discipline ---
