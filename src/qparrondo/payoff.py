@@ -33,7 +33,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import statevector
+from . import statevector, wiring
 from .coins import PhaseAssignment, bias_expansion, games_from_bias
 from .statevector import NAMED_STATES, StateVector, check_norm, multiplexed_products
 from .transfer import walk_total
@@ -114,6 +114,53 @@ def _dense_total(plan, coins: np.ndarray, init: np.ndarray, work: np.ndarray,
     return total
 
 
+def _block_payoffs(size: int) -> np.ndarray:
+    """The payoff 2 * popcount(j) - size of each basis label j of ``size``
+    qubits."""
+    z = np.zeros(1)
+    for _ in range(size):
+        z = np.concatenate([z - 1, z + 1])
+    return z
+
+
+def _block_total(blocks, coins: np.ndarray, amps: np.ndarray, densities: list) -> float:
+    """The dense payoff total of a plan cut into independent blocks
+    (``wiring._blocks``), each of at most _MAX_WINDOW qubits, from the
+    initial amplitudes ``amps``: the sum over the blocks of Tr(U^H Z U rho),
+    with U the block's unitary, Z its payoff summed over its qubits, seeds
+    included, and rho its reduced density matrix.
+
+    ``densities`` holds the real parts of the blocks' rho, taken once, and
+    gets their imaginary parts, taken once too, at the first coins whose
+    block operators are complex.  ``amps`` is read for its norm alone, by
+    the StateVector norm rule, and each block's Tr(U^H U rho) goes through
+    that rule too: it is the final norm.
+    """
+    check_norm(statevector._norm_sq(amps))
+    gates = {"A": coins[:1], "B": coins[1:]}
+    operators = []
+    for _, _, tokens in blocks:
+        ops = wiring._window_operator(tokens, gates)
+        # The window's games act on its targets once per value of the seed
+        # qubits it reads, the block's first qubits.
+        u = np.einsum("ab,aij->aibj", np.eye(len(ops)), ops).reshape(ops.size // len(ops[0]), -1)
+        uh = u.conj().T
+        operators.append((uh @ u, uh @ (_block_payoffs(len(u).bit_length() - 1)[:, None] * u)))
+    if len(densities) == 1 and any(m.imag.any() for pair in operators for m in pair):
+        spans = [(first, last) for first, last, _ in blocks]
+        densities.append(statevector._reduced_densities(amps, spans, imag=True))
+    total = 0.0
+    for k, (norm_op, payoff_op) in enumerate(operators):
+        # Tr(M rho) = sum of M[i, j] conj(rho[i, j]), for Hermitian M and rho.
+        norm_sq, value = (
+            sum(np.vdot(part[k], m) for part, m in zip(densities, (op.real, op.imag)))
+            for op in (norm_op, payoff_op)
+        )
+        check_norm(norm_sq)
+        total += value
+    return float(total)
+
+
 def per_qubit(total: float, num_qubits: int) -> float:
     """Payoff per qubit; the divisor is the total qubit count, seeds included."""
     if num_qubits < 1:
@@ -159,6 +206,13 @@ class Evaluator:
         if isinstance(init, str) and init in NAMED_STATES:
             self._total = lambda coins: walk_total(plan, coins, init)
             self.phase_sensitive = init == "ghz" and ghz_phase_sensitive(plan)
+        elif all(last - first < wiring._MAX_WINDOW for first, last, _ in wiring._blocks(plan)):
+            amps = initial_amplitudes(plan, init)
+            blocks = wiring._blocks(plan)
+            spans = [(first, last) for first, last, _ in blocks]
+            densities = [statevector._reduced_densities(amps, spans)]
+            self._total = lambda coins: _block_total(blocks, coins, amps, densities)
+            self.phase_sensitive = True
         else:
             amps = initial_amplitudes(plan, init)
             # One work buffer and one pair of tiles for every evaluation: a

@@ -90,11 +90,16 @@ def check_amplitudes(num_qubits: int, amps: np.ndarray) -> None:
         raise ValueError(
             f"amplitude array has shape {amps.shape}, expected ({1 << n},) for {n} qubits"
         )
-    # One pass, no temporaries: the dot product of the interleaved real and
-    # imaginary parts with themselves, a sum of squares that cannot cancel.
-    # (A complex vdot would turn an infinite amplitude into NaN.)
+    check_norm(_norm_sq(amps))
+
+
+def _norm_sq(amps: np.ndarray) -> float:
+    """|psi|^2 of a C-contiguous complex128 array, in one pass with no
+    temporaries: the dot product of the interleaved real and imaginary parts
+    with themselves, a sum of squares that cannot cancel.  (A complex vdot
+    would turn an infinite amplitude into NaN.)"""
     parts = amps.view(np.float64)
-    check_norm(float(np.dot(parts, parts)))
+    return float(np.dot(parts, parts))
 
 
 def check_norm(norm_sq: float) -> None:
@@ -290,6 +295,62 @@ def _operands(above, below, ops, src, out) -> tuple[list, np.ndarray, int]:
     if not ops.imag.any():
         return [np.ascontiguousarray(ops.real), x.view(np.float64)], y.view(np.float64), 1
     return [ops, x], y, 1
+
+
+def _reduced_densities(src: np.ndarray, spans, imag: bool = False) -> list[np.ndarray]:
+    """The real part, or the imaginary part if ``imag``, of the reduced
+    density matrix of each span ``(first, last)`` of qubits of the state
+    ``src``: rho[i, j] = sum over the other qubits of psi[i] conj(psi[j]),
+    with i and j the span's basis labels.  ``src`` is only read.
+
+    The state is read in tiles of about _TILE amplitudes, and every span
+    that a tile holds is taken from it while it sits in cache.  A span among
+    the last log2(_TILE) qubits is in every contiguous run of that many; the
+    others are in the tiles that hold every qubit up to the last of them
+    times a run of the lowest qubits, copied out of the state.  No
+    state-sized temporary is made.
+    """
+    n = src.size.bit_length() - 1
+    tile = min(src.size, _TILE).bit_length() - 1
+    sums = [0.0] * len(spans)
+    low = [k for k, (first, _) in enumerate(spans) if first > n - tile]
+    high = [k for k in range(len(spans)) if k not in low]
+    top = max((spans[k][1] for k in high), default=0)
+    # A tile is view[i : i + step, j : j + cols] of the state's view with the
+    # first ``head`` qubits as rows: one row, a contiguous run of the low
+    # qubits, or every row times a run of the lowest qubits.  ``shift`` is the
+    # first qubit of the state before the first of the tile.
+    for members, head, shift in ((low, n - tile, n - tile), (high, top, 0)):
+        if not members:
+            continue
+        view = src.reshape(1 << head, -1)
+        step, cols = (1, view.shape[1]) if shift else (len(view), max(1, (1 << tile) >> head))
+        for i in range(0, len(view), step):
+            for j in range(0, view.shape[1], cols):
+                psi = np.ascontiguousarray(view[i : i + step, j : j + cols])
+                # -i psi has the float64 view (Im psi, -Re psi), whose products
+                # with (Re psi, Im psi) sum to Im(psi[i] conj(psi[j])).  The
+                # real parts take a copy: numpy hands the product of an array
+                # with its own transpose to BLAS syrk, about twice as slow here.
+                left = (psi * -1j if imag else psi.copy()).view(np.float64)
+                right = psi.view(np.float64)
+                for k in members:
+                    first, last = (q - shift for q in spans[k])
+                    sums[k] = sums[k] + _gram(
+                        *(a.reshape(1 << (first - 1), 1 << (last - first + 1), -1) for a in (left, right))
+                    )
+    return [np.asarray(s) for s in sums]
+
+
+def _gram(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """sum over p and c of x[p, i, c] * y[p, j, c], as an (i, j) array."""
+    rows, span, cols = x.shape
+    if cols * cols <= rows:
+        # Rows too short for one matrix product each: one product over the
+        # rows instead, of every (i, c) with every (j, c'), traced over c = c'.
+        g = x.reshape(rows, -1).T @ y.reshape(rows, -1)
+        return np.einsum("icjc->ij", g.reshape(span, cols, span, cols))
+    return np.matmul(x, y.transpose(0, 2, 1)).sum(0)
 
 
 def apply_multiplexed(buf: np.ndarray, group, src: np.ndarray | None = None,

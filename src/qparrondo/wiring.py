@@ -159,6 +159,24 @@ def initial_amplitudes(plan: CircuitPlan, init) -> np.ndarray:
     return amps
 
 
+def _blocks(plan: CircuitPlan) -> list[tuple[int, int, str]]:
+    """``(first qubit, last qubit, tokens)`` of each independent block of the
+    plan, in order; the first block holds the seed qubits.
+
+    The plan is cut before game k > 1 when game k is an A and game k + 1 is
+    an A or does not exist.  Neither reads a qubit, and a B at game k + 2
+    reads only games k and k + 1, so no game after the cut reads a qubit
+    before it: the circuit is a tensor product of one unitary per block.
+    """
+    tokens = plan.tokens
+    starts = [0] + [k for k in range(1, len(tokens)) if tokens[k : k + 2] in ("A", "AA")]
+    ends = starts[1:] + [len(tokens)]
+    return [
+        (1 if start == 0 else plan.seed_count + start + 1, plan.seed_count + end, tokens[start:end])
+        for start, end in zip(starts, ends)
+    ]
+
+
 def _window_games(num_qubits: int) -> int:
     """Games per window on a register of ``num_qubits``: the most, up to
     _MAX_WINDOW, whose operator costs no more to build than one pass over the

@@ -74,10 +74,11 @@ def test_payoff_with_custom_state_file(runner, tmp_path):
 
 @pytest.mark.parametrize("eps, dense_runs", [("0", 3), ("0.01", 4)])
 def test_payoff_evaluates_each_distinct_bias_once(runner, tmp_path, monkeypatch, eps, dense_runs):
-    # c0 is the payoff at eps = 0, so the default --eps 0 needs one run fewer
+    # c0 is the payoff at eps = 0, so the default --eps 0 needs one run fewer.
+    # "B" is one block of three qubits, evaluated by the block route.
     runs = []
-    real = qparrondo.payoff._dense_total
-    monkeypatch.setattr(qparrondo.payoff, "_dense_total", lambda *args: runs.append(1) or real(*args))
+    real = qparrondo.payoff._block_total
+    monkeypatch.setattr(qparrondo.payoff, "_block_total", lambda *args: runs.append(1) or real(*args))
     amps = np.zeros(8)
     amps[0] = amps[7] = 1 / math.sqrt(2)
     path = tmp_path / "ghz3.json"

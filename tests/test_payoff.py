@@ -329,7 +329,8 @@ def spoiled_state_rejection(spoil: str) -> str:
         raise RuntimeError("the state was evaluated")
 
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(payoff, "_dense_total", evaluated)
+        # "AAB" is one block, evaluated by the block route.
+        patch.setattr(payoff, "_block_total", evaluated)
         try:
             payoff_epsilon_expansion("AAB", init=amps)
         except ValueError as exc:

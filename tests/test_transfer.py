@@ -268,6 +268,7 @@ def _fail(*args, **kwargs):
 @pytest.mark.parametrize("kind", ["zero", "ghz"])
 def test_named_states_take_the_transfer_walk(monkeypatch, kind):
     monkeypatch.setattr(payoff, "_dense_total", _fail)
+    monkeypatch.setattr(payoff, "_block_total", _fail)
     monkeypatch.setattr(payoff, "initial_amplitudes", _fail)
     assert math.isfinite(sequence_payoff("ABBAB", 0.01, init=kind))
     assert math.isfinite(payoff_epsilon_expansion("ABBAB", init=kind).c1)
