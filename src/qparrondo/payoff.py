@@ -143,7 +143,7 @@ def _block_total(blocks, coins: np.ndarray, amps: np.ndarray, densities: list) -
         ops = wiring._window_operator(tokens, gates)
         # The window's games act on its targets once per value of the seed
         # qubits it reads, the block's first qubits.
-        u = np.einsum("ab,aij->aibj", np.eye(len(ops)), ops).reshape(ops.size // len(ops[0]), -1)
+        u = np.einsum("ab,aij->aibj", np.eye(len(ops)), ops).reshape(len(ops) * len(ops[0]), -1)
         uh = u.conj().T
         operators.append((uh @ u, uh @ (_block_payoffs(len(u).bit_length() - 1)[:, None] * u)))
     if len(densities) == 1 and any(m.imag.any() for pair in operators for m in pair):
@@ -206,22 +206,21 @@ class Evaluator:
         if isinstance(init, str) and init in NAMED_STATES:
             self._total = lambda coins: walk_total(plan, coins, init)
             self.phase_sensitive = init == "ghz" and ghz_phase_sensitive(plan)
-        elif all(last - first < wiring._MAX_WINDOW for first, last, _ in wiring._blocks(plan)):
-            amps = initial_amplitudes(plan, init)
-            blocks = wiring._blocks(plan)
-            spans = [(first, last) for first, last, _ in blocks]
-            densities = [statevector._reduced_densities(amps, spans)]
-            self._total = lambda coins: _block_total(blocks, coins, amps, densities)
-            self.phase_sensitive = True
         else:
             amps = initial_amplitudes(plan, init)
-            # One work buffer and one pair of tiles for every evaluation: a
-            # fresh state-sized array would be faulted into memory page by
-            # page on each of them.
-            work = np.empty_like(amps)
-            tiles = np.empty((2, min(statevector._TILE, amps.size)), dtype=complex)
-            self._total = lambda coins: _dense_total(plan, coins, amps, work, tiles)
+            blocks = wiring._blocks(plan)
             self.phase_sensitive = True
+            if all(last - first < wiring._MAX_WINDOW for first, last, _ in blocks):
+                spans = [(first, last) for first, last, _ in blocks]
+                densities = [statevector._reduced_densities(amps, spans)]
+                self._total = lambda coins: _block_total(blocks, coins, amps, densities)
+            else:
+                # One work buffer and one pair of tiles for every evaluation:
+                # a fresh state-sized array would be faulted into memory page
+                # by page on each of them.
+                work = np.empty_like(amps)
+                tiles = np.empty((2, min(statevector._TILE, amps.size)), dtype=complex)
+                self._total = lambda coins: _dense_total(plan, coins, amps, work, tiles)
 
     def payoff(
         self,

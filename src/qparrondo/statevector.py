@@ -318,21 +318,25 @@ def _reduced_densities(src: np.ndarray, spans, imag: bool = False) -> list[np.nd
     top = max((spans[k][1] for k in high), default=0)
     # A tile is view[i : i + step, j : j + cols] of the state's view with the
     # first ``head`` qubits as rows: one row, a contiguous run of the low
-    # qubits, or every row times a run of the lowest qubits.  ``shift`` is the
-    # first qubit of the state before the first of the tile.
+    # qubits, or every row times a run of the lowest qubits.  ``shift`` counts
+    # the qubits before the tile's first.
     for members, head, shift in ((low, n - tile, n - tile), (high, top, 0)):
         if not members:
             continue
         view = src.reshape(1 << head, -1)
         step, cols = (1, view.shape[1]) if shift else (len(view), max(1, (1 << tile) >> head))
+        # Tiles of every row are copied out of the state into ``copy``.
+        copy = None if shift else np.empty((step, cols), dtype=complex)
+        rotated = np.empty((step, cols), dtype=complex) if imag else None
         for i in range(0, len(view), step):
             for j in range(0, view.shape[1], cols):
-                psi = np.ascontiguousarray(view[i : i + step, j : j + cols])
+                psi = view[i : i + step, j : j + cols]
+                if copy is not None:
+                    np.copyto(copy, psi)
+                    psi = copy
                 # -i psi has the float64 view (Im psi, -Re psi), whose products
-                # with (Re psi, Im psi) sum to Im(psi[i] conj(psi[j])).  The
-                # real parts take a copy: numpy hands the product of an array
-                # with its own transpose to BLAS syrk, about twice as slow here.
-                left = (psi * -1j if imag else psi.copy()).view(np.float64)
+                # with (Re psi, Im psi) sum to Im(psi[i] conj(psi[j])).
+                left = (np.multiply(psi, -1j, out=rotated) if imag else psi).view(np.float64)
                 right = psi.view(np.float64)
                 for k in members:
                     first, last = (q - shift for q in spans[k])

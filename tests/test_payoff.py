@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 import qparrondo
 from qparrondo import payoff, statevector, wiring
 from qparrondo.classical import classical_sequence_payoff
-from qparrondo.coins import PhaseAssignment, games_from_bias, su2_matrix
+from qparrondo.coins import PhaseAssignment, bias_expansion, games_from_bias, su2_matrix
 from qparrondo.optimize import optimize_phases
 from qparrondo.payoff import (
     Evaluator,
@@ -506,6 +506,196 @@ def test_evaluator_rejects_a_raw_state_scaled_after_construction(seq):
     amps = np.array(random_state(compile_sequence(seq).total_qubits, np.random.default_rng(790)).amplitudes)
     evaluator = Evaluator(seq, amps)
     evaluator.payoff(0.01)
+    amps *= 1 + 1e-6
+    with pytest.raises(ValueError, match=r"^state is not normalized: \|psi\|\^2 = "):
+        evaluator.payoff(0.01)
+
+
+# --- the block route: plans that split into independent blocks ---
+
+def token_strings(max_len):
+    for length in range(1, max_len + 1):
+        for k in range(1 << length):
+            yield format(k, f"0{length}b").translate(str.maketrans("01", "AB"))
+
+
+def takes_block_route(seq) -> bool:
+    return all(last - first < wiring._MAX_WINDOW for first, last, _ in wiring._blocks(compile_sequence(seq)))
+
+
+def reads(plan, game):
+    """The qubits game ``game`` (0-based) reads by the wiring rule."""
+    target = plan.seed_count + game + 1
+    return {target - 2, target - 1} if plan.tokens[game] == "B" else set()
+
+
+def test_blocks_are_the_finest_cut_no_later_game_reads_across():
+    # The rule restated from what each game reads: the plan is cut before
+    # game k exactly where no game from k on reads a qubit before k's target
+    for seq in token_strings(10):
+        plan = compile_sequence(seq)
+        cuts = [
+            k for k in range(1, len(seq))
+            if all(q > plan.seed_count + k for j in range(k, len(seq)) for q in reads(plan, j))
+        ]
+        firsts = [1] + [plan.seed_count + k + 1 for k in cuts]
+        lasts = [first - 1 for first in firsts[1:]] + [plan.total_qubits]
+        starts = [0] + cuts
+        tokens = [seq[a:b] for a, b in zip(starts, starts[1:] + [len(seq)])]
+        assert wiring._blocks(plan) == list(zip(firsts, lasts, tokens)), seq
+
+
+ROUTES = [
+    ("AAB" * 7 + "A", [(1 + 3 * b, 3 + 3 * b, "AAB") for b in range(7)] + [(22, 22, "A")]),
+    ("AABBA", [(1, 4, "AABB"), (5, 5, "A")]),
+    ("B", [(1, 3, "B")]),
+    ("B" * 19, None),
+    ("AB" * 10, None),
+]
+
+
+@pytest.mark.parametrize("seq, blocks", ROUTES, ids=["(AAB)^7A", "AABBA", "B", "B^19", "(AB)^10"])
+def test_route_choice(seq, blocks, monkeypatch):
+    # Plans whose blocks all have at most _MAX_WINDOW qubits take the block
+    # route; the others keep the window driver
+    plan = compile_sequence(seq)
+    taken, spans = [], []
+    monkeypatch.setattr(payoff, "_block_total", lambda *args: taken.append("block") or 0.0)
+    monkeypatch.setattr(payoff, "_dense_total", lambda *args: taken.append("window") or 0.0)
+    monkeypatch.setattr(statevector, "_reduced_densities", lambda amps, s, imag=False: spans.extend(s))
+    init = make_basis_state(plan.total_qubits, "0" * plan.total_qubits)
+    Evaluator(seq, init).payoff(0.01)
+    if blocks is None:
+        assert taken == ["window"] and spans == []
+        assert len(wiring._blocks(plan)) == 1
+    else:
+        assert taken == ["block"]
+        assert wiring._blocks(plan) == blocks
+        assert spans == [(first, last) for first, last, _ in blocks]
+
+
+def block_route_coins(rng):
+    """Zero-phase coins and phased coins at one bias |eps| < 0.09."""
+    eps = rng.uniform(-0.09, 0.09)
+    return games_from_bias(eps), games_from_bias(eps, random_phases(rng))
+
+
+def test_block_route_matches_the_window_driver_on_every_short_plan():
+    # All 267 plans of at most 8 tokens that take the block route, seeded
+    # custom states, real and complex coins
+    rng = np.random.default_rng(800)
+    plans = [seq for seq in token_strings(8) if takes_block_route(seq)]
+    assert len(plans) == 267
+    for seq in plans:
+        plan = compile_sequence(seq)
+        init = np.array(random_state(plan.total_qubits, rng).amplitudes)
+        evaluator = Evaluator(seq, init)
+        work = np.empty_like(init)
+        for coins in block_route_coins(rng) + (random_coins(rng),):
+            want = payoff._dense_total(plan, coins, init, work)
+            assert abs(evaluator.payoff_of_coins(coins, normalize=False) - want) <= 1e-13, seq
+
+
+def test_custom_ghz_matches_the_named_walk_on_every_block_plan():
+    # GHZ amplitudes handed in as a custom array take the block route; the
+    # named "ghz" takes the walk.  Every block-route plan of at most 10 tokens.
+    rng = np.random.default_rng(810)
+    for seq in filter(takes_block_route, token_strings(10)):
+        n = compile_sequence(seq).total_qubits
+        dense = Evaluator(seq, np.array(make_named_state(n, "ghz").amplitudes))
+        walk = Evaluator(seq, "ghz")
+        for coins in block_route_coins(rng):
+            got = dense.payoff_of_coins(coins, normalize=False)
+            assert abs(got - walk.payoff_of_coins(coins, normalize=False)) <= 1e-13, seq
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(
+    seq=st.text("AB", min_size=1, max_size=14).filter(
+        lambda seq: compile_sequence(seq).total_qubits <= 14 and takes_block_route(seq)
+    ),
+    seed=st.integers(0, 2**32 - 1),
+    tile=st.sampled_from([2, 8, 32, 256]),
+)
+def test_block_route_matches_the_run_state_with_small_tiles(seq, seed, tile):
+    # Small tiles send blocks across tile boundaries and into both sweeps of
+    # the density pass; zero-phase coins first, then complex ones, which take
+    # the imaginary parts
+    rng = np.random.default_rng(seed)
+    plan = compile_sequence(seq)
+    init = random_state(plan.total_qubits, rng)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(statevector, "_TILE", tile)
+        evaluator = Evaluator(seq, init)
+        for coins in block_route_coins(rng) + (random_coins(rng),):
+            want = payoff_expectation(run(plan, coins, init))
+            assert abs(evaluator.payoff_of_coins(coins, normalize=False) - want) <= 1e-13
+
+
+def test_imaginary_parts_are_taken_once_at_the_first_complex_coins(monkeypatch):
+    passes = []
+    real = statevector._reduced_densities
+    monkeypatch.setattr(statevector, "_reduced_densities",
+                        lambda *args, **kwargs: passes.append(kwargs) or real(*args, **kwargs))
+    rng = np.random.default_rng(820)
+    evaluator = Evaluator("AABAABA", random_state(7, rng))
+    evaluator.expansion()
+    assert passes == [{}]
+    phases = random_phases(rng)
+    values = [evaluator.payoff(0.01, phases) for _ in range(2)]
+    assert passes == [{}, {"imag": True}]
+    assert values[0] == values[1]
+
+
+def test_block_route_allocates_no_work_buffer():
+    # Tiles of the density pass, no state-sized buffer, real and complex coins
+    amps = writable_amplitudes()
+    phases = random_phases(np.random.default_rng(830))
+    peak = traced_peak(lambda: Evaluator(MEMORY_SEQUENCE, amps).payoff(0.01, phases))
+    assert peak < 0.25 * amps.nbytes
+
+
+def test_the_benchmark_input_agrees_on_both_routes():
+    # The 22-qubit (AAB)^7 A expansion on seeded custom amplitudes, generated
+    # as the benchmark generates them: c0 within 1e-15, c1 within 1e-12
+    seq = "AAB" * 7 + "A"
+    plan = compile_sequence(seq)
+    rng = np.random.default_rng([1601, 1])
+    amps = np.empty(1 << plan.total_qubits, dtype=complex)
+    amps.real = rng.standard_normal(amps.size)
+    amps.imag = rng.standard_normal(amps.size)
+    amps /= np.linalg.norm(amps)
+    block = Evaluator(seq, amps).expansion()
+    work = np.empty_like(amps)
+    window = bias_expansion(lambda eps: per_qubit(
+        payoff._dense_total(plan, games_from_bias(eps), amps, work), plan.total_qubits))
+    assert abs(block.c0 - window[0]) <= 1e-15
+    assert abs(block.c1 - window[1]) <= 1e-12
+
+
+# The window route keeps its work buffer: a plan of one 20-qubit block.
+WINDOW_SEQUENCE = "AB" * 9 + "B"
+
+
+def test_window_route_allocates_one_work_buffer():
+    amps = read_only_amplitudes()
+    evaluator = Evaluator(WINDOW_SEQUENCE, amps)
+    assert len(wiring._blocks(evaluator.plan)) == 1
+    first = traced_peak(lambda: Evaluator(WINDOW_SEQUENCE, amps).payoff(0.01))
+    assert 0.9 * amps.nbytes < first < 1.25 * amps.nbytes
+    evaluator.payoff(0.01)
+    assert traced_peak(lambda: evaluator.payoff(0.02)) < 0.1 * amps.nbytes
+
+
+@pytest.mark.parametrize("seq", ["AABBA", "AB" * 3])
+def test_both_routes_read_the_callers_norm_at_every_evaluation(seq):
+    # "AABBA" takes the block route and "ABABAB" the window driver; neither
+    # writes the caller's array, and both reject it once it is scaled
+    amps = np.array(random_state(compile_sequence(seq).total_qubits, np.random.default_rng(840)).amplitudes)
+    before = amps.copy()
+    evaluator = Evaluator(seq, amps)
+    evaluator.expansion(random_phases(np.random.default_rng(841)))
+    assert np.array_equal(amps, before)
     amps *= 1 + 1e-6
     with pytest.raises(ValueError, match=r"^state is not normalized: \|psi\|\^2 = "):
         evaluator.payoff(0.01)
