@@ -13,19 +13,29 @@ Payoffs are reported "to first order" as a pair (c0, c1), payoff ~ c0 +
 c1*eps, with c1 the central difference of ``coins.bias_expansion``.
 
 ``Evaluator`` is the one selection point: it compiles a sequence once and
-picks its backend once.  The all-zero and GHZ states, named by the strings
-"zero" and "ghz", take the linear-time transfer-matrix walk of ``transfer``
-(any sequence length); a StateVector or amplitudes take the dense
-statevector (at most MAX_QUBITS qubits), validated once, when the Evaluator
-is built, by ``wiring.initial_amplitudes``.  Each evaluation builds the five
-coins of ``coins.games_from_bias``, SU(2) by construction, and hands that one
-array, unchecked, to the backend; both backends check the final norm.
+picks one of three routes once.  The all-zero and GHZ states, named by the
+strings "zero" and "ghz", take the linear-time transfer-matrix walk of
+``transfer`` (any sequence length); a StateVector or amplitudes take one of
+two dense routes (at most MAX_QUBITS qubits), validated once, when the
+Evaluator is built, by ``wiring.initial_amplitudes``.  Each evaluation
+builds the five coins of ``coins.games_from_bias``, SU(2) by construction,
+and hands that one array, unchecked, to the route; every route checks the
+final norm.  Both dense totals equal ``payoff_expectation(run(...))``.
 
-A dense evaluation reduces the products of the last group of windows of
-``wiring.play_to_last_window`` into the payoff as they are made: the final
-state is never written, and its norm is checked, by the StateVector rule,
-from the reduction's own chunk sums.  Its total equals
-``payoff_expectation(run(...))``.
+The block route takes a plan that splits into independent blocks
+(``wiring._blocks``) of at most _MAX_WINDOW qubits each, such as (AAB)^7 A.
+A block's payoff depends on the initial state only through the block's
+reduced density matrix rho, which no bias or phase changes, so rho is taken
+once (``statevector._reduced_densities``; its imaginary part once more, at
+the first complex coins), and each evaluation is a sum of traces of small
+matrices per block (``_block_total``).  The caller's array is then read
+once per evaluation, for its norm, and no work buffer is allocated.
+
+The window route takes every other plan.  It reduces the products of the
+last group of windows of ``wiring.play_to_last_window`` into the payoff as
+they are made: the final state is never written, and its norm is checked,
+by the StateVector rule, from the reduction's own chunk sums.  Only this
+route keeps a state-sized work buffer.
 """
 from __future__ import annotations
 
@@ -138,23 +148,25 @@ def _block_total(blocks, coins: np.ndarray, amps: np.ndarray, densities: list) -
     """
     check_norm(statevector._norm_sq(amps))
     gates = {"A": coins[:1], "B": coins[1:]}
-    operators = []
-    for _, _, tokens in blocks:
+    # (U^H U, U^H Z U) of each distinct block: a block's games alone fix its
+    # operator, since only the first block can open with a B.
+    operators = {}
+    for tokens in {tokens for _, _, tokens in blocks}:
         ops = wiring._window_operator(tokens, gates)
         # The window's games act on its targets once per value of the seed
         # qubits it reads, the block's first qubits.
         u = np.einsum("ab,aij->aibj", np.eye(len(ops)), ops).reshape(len(ops) * len(ops[0]), -1)
         uh = u.conj().T
-        operators.append((uh @ u, uh @ (_block_payoffs(len(u).bit_length() - 1)[:, None] * u)))
-    if len(densities) == 1 and any(m.imag.any() for pair in operators for m in pair):
+        operators[tokens] = (uh @ u, uh @ (_block_payoffs(len(u).bit_length() - 1)[:, None] * u))
+    if len(densities) == 1 and any(m.imag.any() for pair in operators.values() for m in pair):
         spans = [(first, last) for first, last, _ in blocks]
         densities.append(statevector._reduced_densities(amps, spans, imag=True))
     total = 0.0
-    for k, (norm_op, payoff_op) in enumerate(operators):
+    for k, (_, _, tokens) in enumerate(blocks):
         # Tr(M rho) = sum of M[i, j] conj(rho[i, j]), for Hermitian M and rho.
         norm_sq, value = (
             sum(np.vdot(part[k], m) for part, m in zip(densities, (op.real, op.imag)))
-            for op in (norm_op, payoff_op)
+            for op in operators[tokens]
         )
         check_norm(norm_sq)
         total += value
@@ -180,12 +192,16 @@ class PayoffExpansion:
 class Evaluator:
     """The payoff of one sequence on one initial state, at any bias and phases.
 
-    ``plan`` is compiled and the backend chosen once: NAMED_STATES take the
+    ``plan`` is compiled and the route chosen once: NAMED_STATES take the
     transfer-matrix walk; a StateVector or amplitudes are validated once,
-    here, and take the dense path, which reads them once per evaluation.
-    Both check the final norm of every evaluation.  A dense Evaluator keeps
-    one state-sized work buffer and two tile buffers for its evaluations, so
-    one Evaluator must not evaluate in two threads at once.
+    here, and take a dense route.  A plan of independent blocks of at most
+    _MAX_WINDOW qubits takes the block route: each block's reduced density
+    matrix is taken here, its imaginary part at the first complex coins, and
+    each evaluation re-reads the amplitudes for their norm alone.  Any other
+    plan takes the window route, which reads the amplitudes once per
+    evaluation and keeps one state-sized work buffer and two tile buffers for
+    its evaluations.  Every route checks the final norm of every evaluation.
+    One Evaluator must not evaluate in two threads at once.
 
     ``phase_sensitive`` records, from the plan and the initial state alone,
     whether any phase can move the payoff: never on "zero", whose one branch
@@ -196,7 +212,8 @@ class Evaluator:
     A C-contiguous complex128 array is not copied: every evaluation reads
     the caller's array, and none writes it.  Do not change it while the
     Evaluator is in use; pass a StateVector for a snapshot.  A change that
-    breaks the normalization is still rejected by the final norm check.  Any
+    breaks the normalization is still rejected by the norm check of the next
+    evaluation; on the block route a change that keeps it goes unseen.  Any
     other array (real, non-contiguous or byte-swapped) is converted once into
     an array of the Evaluator's own.
     """

@@ -32,6 +32,10 @@ qubits just before the target (the wiring rule of ``wiring``).  apply_gate
 checks only the target's range and the coin count, the other two kernels
 nothing: all trust their caller for the rest.
 
+The block route of ``payoff`` reads a state through
+:func:`_reduced_densities`: the reduced density matrices of several runs of
+qubits, in one read of the state in tiles.
+
 The named initial states live in one table, NAMED_STATES, which the dense
 states here, the transfer walk, the evaluator and the CLI all read.
 
@@ -324,9 +328,12 @@ def _reduced_densities(src: np.ndarray, spans, imag: bool = False) -> list[np.nd
         if not members:
             continue
         view = src.reshape(1 << head, -1)
-        step, cols = (1, view.shape[1]) if shift else (len(view), max(1, (1 << tile) >> head))
-        # Tiles of every row are copied out of the state into ``copy``.
-        copy = None if shift else np.empty((step, cols), dtype=complex)
+        if members is low:
+            step, cols = 1, view.shape[1]
+        else:
+            step, cols = len(view), max(1, (1 << tile) >> head)
+        # Tiles that are not contiguous runs are copied out of the state.
+        copy = np.empty((step, cols), dtype=complex) if 1 < step and cols < view.shape[1] else None
         rotated = np.empty((step, cols), dtype=complex) if imag else None
         for i in range(0, len(view), step):
             for j in range(0, view.shape[1], cols):
@@ -340,9 +347,8 @@ def _reduced_densities(src: np.ndarray, spans, imag: bool = False) -> list[np.nd
                 right = psi.view(np.float64)
                 for k in members:
                     first, last = (q - shift for q in spans[k])
-                    sums[k] = sums[k] + _gram(
-                        *(a.reshape(1 << (first - 1), 1 << (last - first + 1), -1) for a in (left, right))
-                    )
+                    shape = (1 << (first - 1), 1 << (last - first + 1), -1)
+                    sums[k] = sums[k] + _gram(left.reshape(shape), right.reshape(shape))
     return [np.asarray(s) for s in sums]
 
 

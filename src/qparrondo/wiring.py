@@ -27,6 +27,15 @@ instead of five.
 ``play_to_last_window`` is the one driver: it plays every group but the
 last, reading the initial amplitudes in the first and never writing them.
 
+The same rule cuts a plan into independent blocks (``_blocks``).  A plan is
+cut before every game but the first that is an A followed by an A or by
+nothing: no game from there on reads an earlier qubit, so the circuit is a
+tensor product of one unitary per block, and the first block holds the seed
+qubits.  (AAB)^7 A is seven AAB blocks and one A; B^19 and (AB)^10 do not
+cut at all.  A block's operator is its games' window operator
+(``_window_operator``), which ``payoff`` evaluates on the block's reduced
+density matrix when every block has at most _MAX_WINDOW qubits.
+
 Each engine input enters once.  ``initial_amplitudes`` turns a caller's
 initial state (a name, a StateVector or amplitudes) into the amplitudes the
 driver reads, validated once; ``run`` checks a caller's coins with

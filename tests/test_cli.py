@@ -78,7 +78,8 @@ def test_payoff_evaluates_each_distinct_bias_once(runner, tmp_path, monkeypatch,
     # "B" is one block of three qubits, evaluated by the block route.
     runs = []
     real = qparrondo.payoff._block_total
-    monkeypatch.setattr(qparrondo.payoff, "_block_total", lambda *args: runs.append(1) or real(*args))
+    monkeypatch.setattr(qparrondo.payoff, "_block_total",
+                        lambda *args: runs.append(1) or real(*args))
     amps = np.zeros(8)
     amps[0] = amps[7] = 1 / math.sqrt(2)
     path = tmp_path / "ghz3.json"

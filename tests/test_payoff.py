@@ -520,7 +520,8 @@ def token_strings(max_len):
 
 
 def takes_block_route(seq) -> bool:
-    return all(last - first < wiring._MAX_WINDOW for first, last, _ in wiring._blocks(compile_sequence(seq)))
+    blocks = wiring._blocks(compile_sequence(seq))
+    return all(last - first < wiring._MAX_WINDOW for first, last, _ in blocks)
 
 
 def reads(plan, game):
@@ -562,7 +563,8 @@ def test_route_choice(seq, blocks, monkeypatch):
     taken, spans = [], []
     monkeypatch.setattr(payoff, "_block_total", lambda *args: taken.append("block") or 0.0)
     monkeypatch.setattr(payoff, "_dense_total", lambda *args: taken.append("window") or 0.0)
-    monkeypatch.setattr(statevector, "_reduced_densities", lambda amps, s, imag=False: spans.extend(s))
+    monkeypatch.setattr(statevector, "_reduced_densities",
+                        lambda amps, s, imag=False: spans.extend(s))
     init = make_basis_state(plan.total_qubits, "0" * plan.total_qubits)
     Evaluator(seq, init).payoff(0.01)
     if blocks is None:
@@ -691,7 +693,8 @@ def test_window_route_allocates_one_work_buffer():
 def test_both_routes_read_the_callers_norm_at_every_evaluation(seq):
     # "AABBA" takes the block route and "ABABAB" the window driver; neither
     # writes the caller's array, and both reject it once it is scaled
-    amps = np.array(random_state(compile_sequence(seq).total_qubits, np.random.default_rng(840)).amplitudes)
+    n = compile_sequence(seq).total_qubits
+    amps = np.array(random_state(n, np.random.default_rng(840)).amplitudes)
     before = amps.copy()
     evaluator = Evaluator(seq, amps)
     evaluator.expansion(random_phases(np.random.default_rng(841)))
