@@ -34,7 +34,7 @@ nothing: all trust their caller for the rest.
 
 The block route of ``payoff`` reads a state through
 :func:`_reduced_densities`: the reduced density matrices of several runs of
-qubits, in one read of the state in tiles.
+qubits, in at most two reads of the state in tiles.
 
 The named initial states live in one table, NAMED_STATES, which the dense
 states here, the transfer walk, the evaluator and the CLI all read.
@@ -309,10 +309,10 @@ def _reduced_densities(src: np.ndarray, spans, imag: bool = False) -> list[np.nd
 
     The state is read in tiles of about _TILE amplitudes, and every span
     that a tile holds is taken from it while it sits in cache.  A span among
-    the last log2(_TILE) qubits is in every contiguous run of that many; the
-    others are in the tiles that hold every qubit up to the last of them
-    times a run of the lowest qubits, copied out of the state.  No
-    state-sized temporary is made.
+    the last log2(_TILE) qubits is in every contiguous run of that many, read
+    in one pass; the others are in the tiles that hold every qubit up to the
+    last of them times a run of the lowest qubits, copied out of the state in
+    a second pass.  No state-sized temporary is made.
     """
     n = src.size.bit_length() - 1
     tile = min(src.size, _TILE).bit_length() - 1

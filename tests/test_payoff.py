@@ -302,7 +302,7 @@ def spoiled_payoff(spoil: str, seq: str) -> str:
 @pytest.mark.parametrize("seq", ["B", "AAB" * 3, "AAB" * 6 + "A"])
 @pytest.mark.parametrize("spoil, message", SPOILED_WINDOWS)
 def test_final_norm_is_checked_on_every_dense_evaluation(spoil, message, seq):
-    # "B" is one window, reduced straight from init with no work buffer
+    # "B" and "AAB" * 3 take the block route, "AAB" * 6 + "A" the window route
     assert spoiled_payoff(spoil, seq).startswith(message)
 
 
@@ -453,20 +453,24 @@ def test_real_amplitudes_are_converted_once():
 
 
 def test_dense_evaluations_do_not_leak_into_each_other():
-    # The kept work buffer is written before it is read in every evaluation
+    # The kept work buffer of the window route ("ABABAB") is written before it
+    # is read in every evaluation; the block route ("AABBA") keeps its
+    # densities, the imaginary parts taken at the first phased evaluation
     rng = np.random.default_rng(760)
-    init = random_state(compile_sequence("AABBA").total_qubits, rng)
-    evaluator = payoff.Evaluator("AABBA", init)
-    phases = random_phases(rng)
-    values = [evaluator.payoff(eps, phases) for eps in (0.01, -0.02, 0.01)]
-    assert values[0] == values[2] != values[1]
-    assert values[0] == payoff.Evaluator("AABBA", init).payoff(0.01, phases)
+    for seq in ("AABBA", "AB" * 3):
+        init = random_state(compile_sequence(seq).total_qubits, rng)
+        evaluator = payoff.Evaluator(seq, init)
+        phases = random_phases(rng)
+        values = [evaluator.payoff(eps, phases) for eps in (0.01, -0.02, 0.01)]
+        assert values[0] == values[2] != values[1]
+        assert values[0] == payoff.Evaluator(seq, init).payoff(0.01, phases)
 
 
 # --- the caller's amplitudes: read in place, never written ---
 
-# Every dense entry point on custom amplitudes.  "AABBA" plays five windows
-# of one game; "B" is one window, reduced straight from the caller's array.
+# Every dense entry point on custom amplitudes.  "AABBA" (blocks AABB and A)
+# and "B" take the block route; "ABABAB" is one block of seven qubits and
+# takes the window route.
 DENSE_ENTRY_POINTS = {
     "Evaluator.payoff": lambda seq, amps: Evaluator(seq, amps).payoff(0.01),
     "Evaluator.expansion": lambda seq, amps: Evaluator(seq, amps).expansion(),
@@ -476,7 +480,7 @@ DENSE_ENTRY_POINTS = {
 }
 
 
-@pytest.mark.parametrize("seq", ["AABBA", "B"])
+@pytest.mark.parametrize("seq", ["AABBA", "B", "AB" * 3])
 @pytest.mark.parametrize("entry", DENSE_ENTRY_POINTS.values(), ids=DENSE_ENTRY_POINTS.keys())
 @pytest.mark.parametrize("writeable", [True, False], ids=["writable", "read-only"])
 def test_dense_entry_points_never_write_the_callers_state(entry, seq, writeable):
