@@ -15,9 +15,10 @@ c1*eps, with c1 the central difference of ``coins.bias_expansion``.
 ``Evaluator`` is the one selection point: it compiles a sequence once and
 picks one of three routes once.  The all-zero and GHZ states, named by the
 strings "zero" and "ghz", take the linear-time transfer-matrix walk of
-``transfer`` (any sequence length); a StateVector or amplitudes take one of
-two dense routes (at most MAX_QUBITS qubits), validated once, when the
-Evaluator is built, by ``wiring.initial_amplitudes``.  Each evaluation
+``transfer`` (any sequence length), compiled once per Evaluator; a
+StateVector or amplitudes take one of two dense routes (at most MAX_QUBITS
+qubits), validated once, when the Evaluator is built, by
+``wiring.initial_amplitudes``.  Each evaluation
 builds the five coins of ``coins.games_from_bias``, SU(2) by construction,
 and hands that one array, unchecked, to the route; every route checks the
 final norm.  Both dense totals equal ``payoff_expectation(run(...))``.
@@ -28,8 +29,9 @@ A block's payoff depends on the initial state only through the block's
 reduced density matrix rho, which no bias or phase changes, so rho is taken
 once (``statevector._reduced_densities``; its imaginary part once more, at
 the first complex coins), and each evaluation is a sum of traces of small
-matrices per block (``_block_total``).  The caller's array is then read
-once per evaluation, for its norm, and no work buffer is allocated.
+matrices per block (``_block_total``).  A caller's own array is then read
+once per evaluation, for its norm, and a StateVector's amplitudes or an
+array the Evaluator converted not at all; no work buffer is allocated.
 
 The window route takes every other plan.  It reduces the products of the
 last group of windows of ``wiring.play_to_last_window`` into the payoff as
@@ -43,10 +45,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import statevector, wiring
+from . import statevector, transfer, wiring
 from .coins import PhaseAssignment, bias_expansion, games_from_bias
 from .statevector import NAMED_STATES, StateVector, check_norm, multiplexed_products
-from .transfer import walk_total
 from .wiring import (
     compile_sequence,
     ghz_phase_sensitive,
@@ -133,7 +134,8 @@ def _block_payoffs(size: int) -> np.ndarray:
     return z
 
 
-def _block_total(blocks, coins: np.ndarray, amps: np.ndarray, densities: list) -> float:
+def _block_total(blocks, coins: np.ndarray, amps: np.ndarray, densities: list,
+                 reread: bool) -> float:
     """The dense payoff total of a plan cut into independent blocks
     (``wiring._blocks``), each of at most _MAX_WINDOW qubits, from the
     initial amplitudes ``amps``: the sum over the blocks of Tr(U^H Z U rho),
@@ -142,11 +144,13 @@ def _block_total(blocks, coins: np.ndarray, amps: np.ndarray, densities: list) -
 
     ``densities`` holds the real parts of the blocks' rho, taken once, and
     gets their imaginary parts, taken once too, at the first coins whose
-    block operators are complex.  ``amps`` is read for its norm alone, by
-    the StateVector norm rule, and each block's Tr(U^H U rho) goes through
-    that rule too: it is the final norm.
+    block operators are complex.  If ``reread``, ``amps`` is read for its
+    norm alone, by the StateVector norm rule; the caller passes False where
+    no one can have changed it since it was checked.  Each block's Tr(U^H U
+    rho) goes through that rule too: it is the final norm.
     """
-    check_norm(statevector._norm_sq(amps))
+    if reread:
+        check_norm(statevector._norm_sq(amps))
     gates = {"A": coins[:1], "B": coins[1:]}
     # (U^H U, U^H Z U) of each distinct block: a block's games alone fix its
     # operator, since only the first block can open with a B.
@@ -193,15 +197,18 @@ class Evaluator:
     """The payoff of one sequence on one initial state, at any bias and phases.
 
     ``plan`` is compiled and the route chosen once: NAMED_STATES take the
-    transfer-matrix walk; a StateVector or amplitudes are validated once,
-    here, and take a dense route.  A plan of independent blocks of at most
-    _MAX_WINDOW qubits takes the block route: each block's reduced density
-    matrix is taken here, its imaginary part at the first complex coins, and
-    each evaluation re-reads the amplitudes for their norm alone.  Any other
-    plan takes the window route, which reads the amplitudes once per
-    evaluation and keeps one state-sized work buffer and two tile buffers for
-    its evaluations.  Every route checks the final norm of every evaluation.
-    One Evaluator must not evaluate in two threads at once.
+    transfer-matrix walk, compiled here for the plan and the state, so that
+    an evaluation builds only what its coins change; a StateVector or
+    amplitudes are validated once, here, and take a dense route.  A plan of
+    independent blocks of at most _MAX_WINDOW qubits takes the block route:
+    each block's reduced density matrix is taken here, its imaginary part at
+    the first complex coins, and each evaluation re-reads a caller's own
+    array (below) for its norm alone; a StateVector's amplitudes and an
+    array converted here are not read again, since no caller can change
+    them.  Any other plan takes the window route, which reads the amplitudes
+    once per evaluation and keeps one state-sized work buffer and two tile
+    buffers for its evaluations.  Every route checks the final norm of every
+    evaluation.  One Evaluator must not evaluate in two threads at once.
 
     ``phase_sensitive`` records, from the plan and the initial state alone,
     whether any phase can move the payoff: never on "zero", whose one branch
@@ -221,7 +228,7 @@ class Evaluator:
     def __init__(self, seq: str, init="ghz"):
         self.plan = plan = compile_sequence(seq)
         if isinstance(init, str) and init in NAMED_STATES:
-            self._total = lambda coins: walk_total(plan, coins, init)
+            self._total = transfer._compile_walk(plan, init)
             self.phase_sensitive = init == "ghz" and ghz_phase_sensitive(plan)
         else:
             amps = initial_amplitudes(plan, init)
@@ -230,7 +237,10 @@ class Evaluator:
             if all(last - first < wiring._MAX_WINDOW for first, last, _ in blocks):
                 spans = [(first, last) for first, last, _ in blocks]
                 densities = [statevector._reduced_densities(amps, spans)]
-                self._total = lambda coins: _block_total(blocks, coins, amps, densities)
+                # Only the caller's own array can change after its check: a
+                # StateVector's is unchangeable, and a converted one is ours.
+                reread = amps is init
+                self._total = lambda coins: _block_total(blocks, coins, amps, densities, reread)
             else:
                 # One work buffer and one pair of tiles for every evaluation:
                 # a fresh state-sized array would be faulted into memory page

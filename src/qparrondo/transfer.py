@@ -18,9 +18,14 @@ earlier outcome bits of conj(amp_b) * amp_b', and S, the same sum weighted by
 the payoff of those outcomes.  A sequence of any length costs O(len(seq))
 time and O(1) memory.
 
-``transfer_total`` checks a caller's state name and coins, then runs the
-walk, ``walk_total``, which trusts its inputs and checks the carried norm at
-the end.
+The walk is compiled once per plan and state (``_compile_walk``): the
+branch weights, the seed pair table, the gate order and the start are fixed
+there, and an evaluation builds only the pair tables of games A and B from
+its coins before it runs the chain.  ``payoff.Evaluator`` compiles once and
+evaluates at every bias and phase it is asked for.  ``transfer_total`` checks
+a caller's state name and coins, then runs the walk, ``walk_total``, which
+compiles and evaluates once, trusts its inputs and checks the carried norm
+at the end.
 """
 from __future__ import annotations
 
@@ -49,12 +54,24 @@ def transfer_total(plan: CircuitPlan, coins: np.ndarray, kind: str) -> float:
 
 def walk_total(plan: CircuitPlan, coins: np.ndarray, kind: str) -> float:
     """The walk of ``transfer_total`` on a name in NAMED_STATES and a checked
-    (5, 2, 2) complex coin array.  At the end it requires the carried norm to
-    be 1 within STRUCTURAL_TOL, the bound a StateVector enforces, and raises
-    ValueError otherwise."""
+    (5, 2, 2) complex coin array: ``_compile_walk`` of the plan and the state,
+    evaluated once on the coins."""
+    return _compile_walk(plan, kind)(coins)
+
+
+def _compile_walk(plan: CircuitPlan, kind: str):
+    """The walk of ``plan`` on the state named ``kind``, compiled: a function
+    of a checked (5, 2, 2) complex coin array that returns the total payoff.
+
+    What the plan and the state fix is built here, once: the branch weights,
+    the seed pair table, the gate order and the walk's start.  An evaluation
+    builds only the A and B pair tables from its coins.  At the end it
+    requires the carried norm to be 1 within STRUCTURAL_TOL, the bound a
+    StateVector enforces, and raises ValueError otherwise."""
     # Input-branch amplitudes: branch b starts every qubit in |b>.
     amps = np.array(NAMED_STATES[kind])
     n_branches = len(amps)
+    weights = np.outer(amps, amps).ravel()
 
     def pair_table(f: np.ndarray) -> np.ndarray:
         # f[x, i, j, k] = <k| U(i, j) |x> for controls (i, j) = (y_{q-2},
@@ -63,22 +80,28 @@ def walk_total(plan: CircuitPlan, coins: np.ndarray, kind: str) -> float:
         f = f[:n_branches]
         return (f.conj()[:, None] * f).reshape(n_branches**2, *f.shape[1:])
 
-    tables = {
-        "seed": pair_table(_SEED),
-        "A": pair_table(coins[0].T[:, None, None, :]),
-        "B": pair_table(coins[1:].reshape(2, 2, 2, 2).transpose(3, 0, 1, 2)),
-    }
+    seed = pair_table(_SEED)
     gates = ["seed"] * plan.seed_count + list(plan.tokens)
+    # start[0] is W and start[1] is S, each indexed [pair, y_{q-1}, y_q];
+    # before the first qubit the history is a placeholder (0, 0) that no gate
+    # reads.  Every plan has a game, and the first einsum makes a new array,
+    # so no evaluation writes ``start``.
+    start = np.zeros((2, n_branches**2, 2, 2), dtype=complex)
+    start[0, :, 0, 0] = 1.0
 
-    # walk[0] is W and walk[1] is S, each indexed [pair, y_{q-1}, y_q]; before
-    # the first qubit the history is a placeholder (0, 0) that no gate reads.
-    walk = np.zeros((2, n_branches**2, 2, 2), dtype=complex)
-    walk[0, :, 0, 0] = 1.0
-    for gate in gates:
-        walk = np.einsum("tpij,pijk->tpjk", walk, tables[gate])
-        walk[1] += _PAYOFF * walk[0]
+    def evaluate(coins: np.ndarray) -> float:
+        tables = {
+            "seed": seed,
+            "A": pair_table(coins[0].T[:, None, None, :]),
+            "B": pair_table(coins[1:].reshape(2, 2, 2, 2).transpose(3, 0, 1, 2)),
+        }
+        walk = start
+        for gate in gates:
+            walk = np.einsum("tpij,pijk->tpjk", walk, tables[gate])
+            walk[1] += _PAYOFF * walk[0]
+        norm, total = walk.sum(axis=(2, 3)) @ weights
+        if not abs(norm - 1.0) <= STRUCTURAL_TOL:
+            raise ValueError(f"transfer-matrix walk lost normalization: |psi|^2 = {norm!r}")
+        return float(total.real)
 
-    norm, total = walk.sum(axis=(2, 3)) @ np.outer(amps, amps).ravel()
-    if not abs(norm - 1.0) <= STRUCTURAL_TOL:
-        raise ValueError(f"transfer-matrix walk lost normalization: |psi|^2 = {norm!r}")
-    return float(total.real)
+    return evaluate

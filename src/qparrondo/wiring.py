@@ -18,8 +18,8 @@ move a plan's payoff on the GHZ state.
 Dense evaluation plays the games by windows.  Consecutive games target
 consecutive qubits, so a window of m games acts on its m targets and reads,
 as controls, at most the two qubits just above them, which it never changes.
-Its operator is one 2**m-square matrix per value of those controls, built by
-``statevector.apply_gate`` on identity columns, so this rule is written once.
+Its operator is one 2**m-square matrix per value of those controls, built
+on identity columns by the one kernel, so this rule is written once.
 Consecutive windows are played in groups, one pass of
 ``statevector.multiplexed_products`` over the state each (``_groups``): on
 the 22 qubits of (AAB)^7 A, windows 1-2 and then windows 3-5, two passes
@@ -58,7 +58,6 @@ import numpy as np
 from . import statevector
 from .statevector import (
     StateVector,
-    apply_gate,
     apply_multiplexed,
     check_amplitudes,
     check_coins,
@@ -202,11 +201,12 @@ def _window_operator(window: str, gates: dict) -> np.ndarray:
     read as controls (2 if it opens with a B, 1 if its second game is a B,
     else 0), older qubit first, acting on its m targets.
 
-    One game's operator is its own coins.  Longer windows are built by
-    ``apply_gate`` on identity columns of a register of those w qubits and
-    the m targets.  No game alters its controls, so the columns that carry
-    control value c map into themselves, and the register holds for each c
-    only those 2**m columns.
+    One game's operator is its own coins.  Longer windows are built on
+    identity columns of a register of those w qubits and the m targets, in
+    one ``apply_multiplexed`` call that plays every game as a window of its
+    own, by the rule of ``statevector.apply_gate``.  No game alters its
+    controls, so the columns that carry control value c map into themselves,
+    and the register holds for each c only those 2**m columns.
     """
     if len(window) == 1:
         return gates[window]
@@ -216,9 +216,12 @@ def _window_operator(window: str, gates: dict) -> np.ndarray:
     # and write), and the column index, which they never touch.
     columns = np.zeros((1 << w, d, d), dtype=complex)
     columns.reshape(1 << w, d * d)[:, :: d + 1] = 1.0
-    flat = columns.reshape(-1)
-    for target, token in enumerate(window, start=w + 1):
-        apply_gate(flat, target, gates[token])
+    # Game A acts on its target alone; game B reads the two qubits before it.
+    games = [
+        (target - (2 if token == "B" else 0), gates[token])
+        for target, token in enumerate(window, start=w + 1)
+    ]
+    apply_multiplexed(columns.reshape(-1), games)
     return columns
 
 

@@ -708,6 +708,40 @@ def test_both_routes_read_the_callers_norm_at_every_evaluation(seq):
         evaluator.payoff(0.01)
 
 
+def count_norm_reads(monkeypatch) -> list:
+    reads = []
+    real = statevector._norm_sq
+    monkeypatch.setattr(statevector, "_norm_sq", lambda amps: reads.append(1) or real(amps))
+    return reads
+
+
+@pytest.mark.parametrize("source", ["state vector", "converted array"])
+def test_block_route_does_not_reread_an_array_no_caller_can_change(source, monkeypatch):
+    # A StateVector's amplitudes are unchangeable, and a real array is
+    # converted into the Evaluator's own copy: neither is read for its norm
+    # again after the check at construction
+    rng = np.random.default_rng(850)
+    if source == "state vector":
+        init = random_state(5, rng)
+    else:
+        init = rng.standard_normal(32)
+        init /= np.linalg.norm(init)
+    evaluator = Evaluator("AABBA", init)
+    reads = count_norm_reads(monkeypatch)
+    evaluator.payoff(0.01)
+    evaluator.expansion(random_phases(np.random.default_rng(851)))
+    assert reads == []
+
+
+def test_block_route_rereads_the_callers_array_at_every_evaluation(monkeypatch):
+    amps = np.array(random_state(5, np.random.default_rng(860)).amplitudes)
+    evaluator = Evaluator("AABBA", amps)
+    reads = count_norm_reads(monkeypatch)
+    evaluator.payoff(0.01)
+    evaluator.expansion()
+    assert len(reads) == 4
+
+
 # --- quantum vs classical on basis inputs ---
 
 @pytest.mark.parametrize("seq", TABLE_SEQUENCES)

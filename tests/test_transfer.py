@@ -6,7 +6,7 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from qparrondo import payoff, statevector
+from qparrondo import payoff, statevector, transfer
 from qparrondo.classical import classical_sequence_payoff, classical_sequence_total
 from qparrondo.coins import PhaseAssignment, games_from_bias, lose_probs, su2_matrix
 from qparrondo.optimize import optimize_phases
@@ -92,6 +92,21 @@ def test_transfer_matches_dense_engine_on_large_registers(seq, kind):
     coins = games_from_bias(0.01, PhaseAssignment(x[0], x[1], tuple(x[2:6]), tuple(x[6:])))
     plan = compile_sequence(seq)
     assert abs(transfer_total(plan, coins, kind) - dense_total(plan, coins, kind)) <= ATOL
+
+
+@pytest.mark.parametrize("kind", ["zero", "ghz"])
+@pytest.mark.parametrize("seq", ["AAB", "ABBAB", "B", "BBABA" * 3])
+def test_a_compiled_walk_matches_a_fresh_walk_at_every_coin_set(seq, kind):
+    # One walk compiled for the plan and the state, evaluated again and again,
+    # equals a walk compiled afresh for each coin set, bit for bit: nothing
+    # that the coins change may be kept from one evaluation to the next.
+    # "AAB" and "ABBAB" have no seed qubit, "B" and "BBABA..." have two.
+    rng = np.random.default_rng(2300)
+    plan = compile_sequence(seq)
+    walk = transfer._compile_walk(plan, kind)
+    for _ in range(60):
+        coins = games_from_bias(rng.uniform(-0.09, 0.09), random_phase_assignment(rng))
+        assert walk(coins) == transfer_total(plan, coins, kind)
 
 
 # --- sequences beyond the dense cap ---
@@ -275,7 +290,7 @@ def test_named_states_take_the_transfer_walk(monkeypatch, kind):
 
 
 def test_custom_states_take_the_dense_engine(monkeypatch):
-    monkeypatch.setattr(payoff, "walk_total", _fail)
+    monkeypatch.setattr(transfer, "_compile_walk", _fail)
     ghz = make_named_state(3, "ghz")
     assert sequence_payoff("B", init=ghz) == pytest.approx(1 / 15, abs=ATOL)
     assert sequence_payoff("B", init=ghz.amplitudes) == pytest.approx(1 / 15, abs=ATOL)

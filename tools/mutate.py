@@ -10,9 +10,16 @@ and runs
 
     python -m pytest -x -q -p no:cacheprovider
 
-on the copy.  It never writes into the checkout.  First it runs the same
-suite on an unmutated copy, since a failing baseline would count every
-mutant as killed.
+on the copy.  A mutant may also hold ``killed_by``, the test that killed it
+last time.  That test runs first, alone; if it fails, the mutant is killed
+by it, and only if it passes (or no longer exists) does the whole suite
+run.  The whole suite holds that test, so the verdict is the one the whole
+suite would give, and a killed mutant usually costs one test instead of
+every test before it.  First the script runs the whole suite on an
+unmutated copy, since a failing baseline would count every mutant as
+killed.  At the end it writes each mutant's ``killed_by`` back into
+mutants.json (removing it from a mutant that was not killed); that is the
+only file of the checkout it writes.
 
 Each mutant prints one JSON line: its id, its status (``killed``, ``survived``
 or ``stale``, where stale means the text to replace no longer occurs exactly
@@ -41,13 +48,19 @@ IGNORE = shutil.ignore_patterns(
 FAILED = re.compile(r"^(?:FAILED|ERROR) (.+?)(?: - .*)?$", re.M)
 
 
-def run_suite(tree: Path) -> tuple[int, str | None]:
-    """(pytest's exit code, the first failing test's id) on the tree."""
+# pytest's exit code when tests ran and some failed; a test id that no
+# longer exists gives another code, so it never counts as a kill.
+TESTS_FAILED = 1
+
+
+def run_suite(tree: Path, *tests: str) -> tuple[int, str | None]:
+    """(pytest's exit code, the first failing test's id) on the tree: the
+    whole suite, or only ``tests`` if any are given."""
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         p for p in (str(tree / "src"), os.environ.get("PYTHONPATH")) if p
     ))
     proc = subprocess.run(
-        [sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider"],
+        [sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider", *tests],
         cwd=tree, env=env, capture_output=True, text=True,
     )
     match = FAILED.search(proc.stdout)
@@ -63,7 +76,9 @@ def check(mutant: dict, work: Path) -> dict:
         tree = work / mutant["id"]
         shutil.copytree(ROOT, tree, ignore=IGNORE)
         (tree / mutant["file"]).write_text(source.replace(mutant["old"], mutant["new"]))
-        code, test = run_suite(tree)
+        code, test = run_suite(tree, mutant["killed_by"]) if mutant.get("killed_by") else (0, None)
+        if code != TESTS_FAILED:
+            code, test = run_suite(tree)
         report.update(status="killed" if code != 0 else "survived", killed_by=test)
         shutil.rmtree(tree)
     report["seconds"] = round(time.perf_counter() - start, 1)
@@ -85,6 +100,11 @@ def main() -> int:
             report = check(mutant, work)
             print(json.dumps(report), flush=True)
             failed |= report["status"] != "killed"
+            if report["killed_by"]:
+                mutant["killed_by"] = report["killed_by"]
+            else:
+                mutant.pop("killed_by", None)
+    MUTANTS.write_text(json.dumps(mutants, indent=2) + "\n")
     return 1 if failed else 0
 
 
