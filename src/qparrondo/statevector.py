@@ -28,11 +28,11 @@ part, as the coins of the paper's games have at zero phases.
 :func:`apply_multiplexed` writes those products into a writable buffer, in
 place or from a separate source, and :func:`apply_gate` is one game on a
 buffer: a 2x2 unitary on a fresh target qubit, picked for game B by the two
-qubits just before the target (the wiring rule of ``wiring``), the
-per-game form that ``wiring`` plays a window's games in, all in one
-apply_multiplexed call.  apply_gate checks only the target's range and the
-coin count, the other two kernels nothing: all trust their caller for the
-rest.
+qubits just before the target (the wiring rule of ``wiring``).  ``wiring``
+plays every game of a window by that rule in one apply_multiplexed call, and
+the tests take apply_gate, one call per game, as its reference.  apply_gate
+checks only the target's range and the coin count, the other two kernels
+nothing: all trust their caller for the rest.
 
 The block route of ``payoff`` reads a state through
 :func:`_reduced_densities`: the reduced density matrices of several runs of

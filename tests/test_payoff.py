@@ -708,38 +708,30 @@ def test_both_routes_read_the_callers_norm_at_every_evaluation(seq):
         evaluator.payoff(0.01)
 
 
-def count_norm_reads(monkeypatch) -> list:
-    reads = []
-    real = statevector._norm_sq
-    monkeypatch.setattr(statevector, "_norm_sq", lambda amps: reads.append(1) or real(amps))
-    return reads
-
-
-@pytest.mark.parametrize("source", ["state vector", "converted array"])
-def test_block_route_does_not_reread_an_array_no_caller_can_change(source, monkeypatch):
+@pytest.mark.parametrize("source, reads_per_evaluation", [
+    ("state vector", 0), ("converted array", 0), ("caller's array", 1),
+])
+def test_block_route_rereads_only_an_array_a_caller_can_change(source, reads_per_evaluation,
+                                                                monkeypatch):
     # A StateVector's amplitudes are unchangeable, and a real array is
     # converted into the Evaluator's own copy: neither is read for its norm
-    # again after the check at construction
+    # again after the check at construction.  A caller's complex128 array is
+    # read once per evaluation.
     rng = np.random.default_rng(850)
-    if source == "state vector":
-        init = random_state(5, rng)
-    else:
-        init = rng.standard_normal(32)
-        init /= np.linalg.norm(init)
+    state = random_state(5, rng)
+    real = rng.standard_normal(32)
+    init = {
+        "state vector": state,
+        "converted array": real / np.linalg.norm(real),
+        "caller's array": np.array(state.amplitudes),
+    }[source]
     evaluator = Evaluator("AABBA", init)
-    reads = count_norm_reads(monkeypatch)
+    reads = []
+    norm_sq = statevector._norm_sq
+    monkeypatch.setattr(statevector, "_norm_sq", lambda amps: reads.append(1) or norm_sq(amps))
     evaluator.payoff(0.01)
-    evaluator.expansion(random_phases(np.random.default_rng(851)))
-    assert reads == []
-
-
-def test_block_route_rereads_the_callers_array_at_every_evaluation(monkeypatch):
-    amps = np.array(random_state(5, np.random.default_rng(860)).amplitudes)
-    evaluator = Evaluator("AABBA", amps)
-    reads = count_norm_reads(monkeypatch)
-    evaluator.payoff(0.01)
-    evaluator.expansion()
-    assert len(reads) == 4
+    evaluator.expansion(random_phases(rng))
+    assert len(reads) == 4 * reads_per_evaluation
 
 
 # --- quantum vs classical on basis inputs ---
