@@ -26,13 +26,11 @@ through memory once per group.  The products are BLAS matrix products, run
 as real products on the float64 view where an operator has no imaginary
 part, as the coins of the paper's games have at zero phases.
 :func:`apply_multiplexed` writes those products into a writable buffer, in
-place or from a separate source, and :func:`apply_gate` is one game on a
-buffer: a 2x2 unitary on a fresh target qubit, picked for game B by the two
-qubits just before the target (the wiring rule of ``wiring``).  ``wiring``
-plays every game of a window by that rule in one apply_multiplexed call, and
-the tests take apply_gate, one call per game, as its reference.  apply_gate
-checks only the target's range and the coin count, the other two kernels
-nothing: all trust their caller for the rest.
+place or from a separate source.  ``wiring`` builds a window's operator
+with it, in one call that plays each game of the window (a 2x2 unitary on a
+fresh target qubit, picked for game B by the two qubits just before the
+target) on identity columns.  Neither kernel checks its arguments: both
+trust their caller.
 
 The block route of ``payoff`` reads a state through
 :func:`_reduced_densities`: the reduced density matrices of several runs of
@@ -380,25 +378,3 @@ def apply_multiplexed(buf: np.ndarray, group, src: np.ndarray | None = None,
     for index, product in multiplexed_products(buf if src is None else src, group, tiles):
         view[index] = product
 
-
-def apply_gate(buf: np.ndarray, target: int, coins: np.ndarray) -> None:
-    """Apply one game to the fresh ``target`` qubit of ``buf``, in place.
-
-    One coin is game A: ``coins[0]`` acts on the target.  Four are game B:
-    the two qubits just before the target, read as ``(older << 1) | newer``,
-    pick ``coins[c]``, and those two qubits are never altered.  ``wiring``
-    passes slices of the five-coin array, ``coins[:1]`` or ``coins[1:]``.
-    ``buf`` is a writable C-contiguous complex array of length 2**n; every
-    coin must be unitary, as :func:`check_unitary2` requires.
-    """
-    n = buf.size.bit_length() - 1
-    if len(coins) not in (1, 4):
-        raise ValueError(
-            f"a gate takes 1 matrix (game A) or 4 matrices (game B), got {len(coins)}"
-        )
-    window = 0 if len(coins) == 1 else 2
-    if not window < target <= n:
-        raise ValueError(
-            f"target={target} out of range for a {len(coins)}-matrix gate on {n} qubits"
-        )
-    apply_multiplexed(buf, [(target - window, coins)])

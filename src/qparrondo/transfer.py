@@ -23,9 +23,9 @@ branch weights, the seed pair table, the gate order and the start are fixed
 there, and an evaluation builds only the pair tables of games A and B from
 its coins before it runs the chain.  ``payoff.Evaluator`` compiles once and
 evaluates at every bias and phase it is asked for.  ``transfer_total`` checks
-a caller's state name and coins, then runs the walk, ``walk_total``, which
-compiles and evaluates once, trusts its inputs and checks the carried norm
-at the end.
+a caller's state name and coins, then compiles the walk and evaluates it
+once.  The compiled walk trusts its coins and checks the carried norm at the
+end.
 """
 from __future__ import annotations
 
@@ -43,20 +43,14 @@ _SEED = np.eye(2)[:, None, None, :]
 
 def transfer_total(plan: CircuitPlan, coins: np.ndarray, kind: str) -> float:
     """Exact total payoff of ``plan`` on the ``kind`` ("zero" or "ghz") state,
-    with the five coins of ``coins.games_from_bias``: ``walk_total`` on the
-    state name and the coins, both checked here (``check_coins``)."""
+    with the five coins of ``coins.games_from_bias``: the walk compiled for
+    the plan and the state (``_compile_walk``), evaluated once on the coins.
+    The state name and the coins are checked here (``check_coins``)."""
     if not isinstance(kind, str) or kind not in NAMED_STATES:
         raise ValueError(
             f"no transfer-matrix walk for initial state {kind!r}; use {tuple(NAMED_STATES)}"
         )
-    return walk_total(plan, check_coins(coins), kind)
-
-
-def walk_total(plan: CircuitPlan, coins: np.ndarray, kind: str) -> float:
-    """The walk of ``transfer_total`` on a name in NAMED_STATES and a checked
-    (5, 2, 2) complex coin array: ``_compile_walk`` of the plan and the state,
-    evaluated once on the coins."""
-    return _compile_walk(plan, kind)(coins)
+    return _compile_walk(plan, kind)(check_coins(coins))
 
 
 def _compile_walk(plan: CircuitPlan, kind: str):

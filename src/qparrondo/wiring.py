@@ -204,9 +204,10 @@ def _window_operator(window: str, gates: dict) -> np.ndarray:
     One game's operator is its own coins.  Longer windows are built on
     identity columns of a register of those w qubits and the m targets, in
     one ``apply_multiplexed`` call that plays every game as a window of its
-    own, by the rule of ``statevector.apply_gate``.  No game alters its
-    controls, so the columns that carry control value c map into themselves,
-    and the register holds for each c only those 2**m columns.
+    own: game A's coin on its target, or one of game B's four picked by the
+    two qubits before it.  No game alters its controls, so the columns that
+    carry control value c map into themselves, and the register holds for
+    each c only those 2**m columns.
     """
     if len(window) == 1:
         return gates[window]

@@ -15,6 +15,8 @@ from qparrondo.coins import PhaseAssignment, su2_matrix
 from qparrondo.payoff import payoff_expectation
 from qparrondo.wiring import compile_sequence, run
 
+from helpers import random_phases
+
 CHECK_TOL = 1e-10
 
 # Exact extremal total over 3 qubits: (1/4)(3/5 + sqrt(3) + 2 sqrt(0.21))
@@ -25,15 +27,6 @@ def random_angles(rng):
     theta = rng.uniform(-math.pi, math.pi)
     phis = tuple(rng.uniform(-math.pi, math.pi, 4))
     return theta, phis
-
-
-def random_phases(rng):
-    return PhaseAssignment(
-        gamma=rng.uniform(0, 2 * math.pi),
-        delta=rng.uniform(0, 2 * math.pi),
-        alphas=tuple(rng.uniform(0, 2 * math.pi, 4)),
-        betas=tuple(rng.uniform(0, 2 * math.pi, 4)),
-    )
 
 
 def simulate_aab(theta, phis, phases, init_kind):

@@ -135,6 +135,26 @@ def test_checks_hold_under_python_O(tmp_path):
     assert json.loads(ok.stdout)["best_value"] == pytest.approx(0.2707138, abs=1e-5)
 
 
+def test_importing_the_cli_loads_only_the_stdlib_numpy_and_click():
+    # A CLI call's set-up time is mostly this import, so a module that
+    # another dependency pulls in would show there first
+    src = str(Path(qparrondo.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    code = (
+        "import sys\n"
+        "before = set(sys.modules)\n"
+        "import qparrondo.cli\n"
+        "for name in sorted({name.partition('.')[0] for name in set(sys.modules) - before}):\n"
+        "    print(name)\n"
+    )
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env,
+                         timeout=120)
+    assert out.returncode == 0, out.stderr
+    loaded = set(out.stdout.split())
+    assert "qparrondo" in loaded
+    assert loaded - set(sys.stdlib_module_names) <= {"numpy", "click", "qparrondo"}
+
+
 def test_payoff_with_phases_file(runner, tmp_path):
     phases = {
         "A": {"gamma": 0.0, "delta": 0.0},

@@ -2,7 +2,6 @@ import math
 import os
 import subprocess
 import sys
-import tracemalloc
 from collections import deque
 from itertools import combinations
 from pathlib import Path
@@ -15,7 +14,7 @@ from hypothesis import strategies as st
 import qparrondo
 from qparrondo import payoff, statevector, wiring
 from qparrondo.classical import classical_sequence_payoff
-from qparrondo.coins import PhaseAssignment, bias_expansion, games_from_bias, su2_matrix
+from qparrondo.coins import PhaseAssignment, bias_expansion, games_from_bias
 from qparrondo.optimize import optimize_phases
 from qparrondo.payoff import (
     Evaluator,
@@ -26,6 +25,8 @@ from qparrondo.payoff import (
 )
 from qparrondo.statevector import StateVector, make_basis_state, make_named_state
 from qparrondo.wiring import compile_sequence, play_to_last_window, run
+
+from helpers import random_coins, random_phases, random_state, ref_play, ref_total, traced_peak
 
 ATOL = 1e-12
 E2E = 1e-9
@@ -51,20 +52,6 @@ def popcount_payoff(state: StateVector) -> float:
     idx = np.arange(1 << n, dtype=np.int64)
     counts = sum((idx >> b) & 1 for b in range(n))
     return float(np.sum((2 * counts - n) * np.abs(state.amplitudes) ** 2))
-
-
-def random_state(n, rng):
-    amps = rng.standard_normal(1 << n) + 1j * rng.standard_normal(1 << n)
-    return StateVector(n, amps / np.linalg.norm(amps))
-
-
-def random_phases(rng):
-    return PhaseAssignment(
-        gamma=rng.uniform(0, 2 * math.pi),
-        delta=rng.uniform(0, 2 * math.pi),
-        alphas=tuple(rng.uniform(0, 2 * math.pi, 4)),
-        betas=tuple(rng.uniform(0, 2 * math.pi, 4)),
-    )
 
 
 # --- payoff_expectation ---
@@ -123,12 +110,7 @@ def test_chunked_payoff_matches_full_array_halving(n):
 
 def test_payoff_allocates_no_state_sized_memory():
     s = random_state(20, np.random.default_rng(720))
-    tracemalloc.start()
-    try:
-        payoff_expectation(s)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    peak = traced_peak(lambda: payoff_expectation(s))
     assert peak < 0.1 * s.amplitudes.nbytes
 
 
@@ -213,14 +195,6 @@ def test_evaluator_validates_a_custom_state_once(monkeypatch):
 
 # --- the dense total: the last window feeds the payoff reduction ---
 
-def random_coins(rng):
-    return np.array([
-        su2_matrix(theta=rng.uniform(-math.pi, math.pi), gamma=rng.uniform(0, 2 * math.pi),
-                   delta=rng.uniform(0, 2 * math.pi))
-        for _ in range(5)
-    ])
-
-
 @settings(max_examples=200, deadline=None, derandomize=True, database=None)
 @given(
     seq=st.text("AB", min_size=1, max_size=14).filter(
@@ -233,7 +207,8 @@ def test_dense_total_matches_payoff_of_the_run_state(seq, seed, chunk):
     # 1-14 qubits, seed qubits included, random coins and custom amplitudes;
     # small blocks send small states through many reduction chunks.  Two coin
     # sets share one work buffer, filled with NaN first, as an Evaluator's
-    # evaluations do: nothing may be read from it before it is written.
+    # evaluations do: nothing may be read from it before it is written.  The
+    # total and the run state's own agree with the kernel-free reference.
     rng = np.random.default_rng(seed)
     plan = compile_sequence(seq)
     init = random_state(plan.total_qubits, rng)
@@ -242,7 +217,11 @@ def test_dense_total_matches_payoff_of_the_run_state(seq, seed, chunk):
         patch.setattr(statevector, "_CHUNK", chunk)
         for coins in (random_coins(rng), random_coins(rng)):
             total = payoff._dense_total(plan, coins, init.amplitudes, work)
-            assert abs(total - payoff_expectation(run(plan, coins, init))) <= 1e-13
+            out = run(plan, coins, init)
+            want = ref_total(ref_play(plan, coins, init.amplitudes))
+            assert abs(total - payoff_expectation(out)) <= 1e-13
+            assert abs(total - want) <= 1e-13
+            assert abs(ref_total(out.amplitudes) - want) <= 1e-13
 
 
 @pytest.mark.parametrize("chunk", [4, 64, 1024, None])
@@ -364,16 +343,6 @@ def test_final_norm_check_holds_under_python_O():
 
 
 MEMORY_QUBITS = 20
-
-
-def traced_peak(f) -> int:
-    """Peak bytes traced while ``f()`` runs."""
-    tracemalloc.start()
-    try:
-        f()
-        return tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
 
 
 def read_only_amplitudes():
@@ -626,7 +595,8 @@ def test_custom_ghz_matches_the_named_walk_on_every_block_plan():
 def test_block_route_matches_the_run_state_with_small_tiles(seq, seed, tile):
     # Small tiles send blocks across tile boundaries and into both sweeps of
     # the density pass; zero-phase coins first, then complex ones, which take
-    # the imaginary parts
+    # the imaginary parts.  The route agrees with the run state and with the
+    # kernel-free reference.
     rng = np.random.default_rng(seed)
     plan = compile_sequence(seq)
     init = random_state(plan.total_qubits, rng)
@@ -634,8 +604,9 @@ def test_block_route_matches_the_run_state_with_small_tiles(seq, seed, tile):
         patch.setattr(statevector, "_TILE", tile)
         evaluator = Evaluator(seq, init)
         for coins in block_route_coins(rng) + (random_coins(rng),):
-            want = payoff_expectation(run(plan, coins, init))
-            assert abs(evaluator.payoff_of_coins(coins, normalize=False) - want) <= 1e-13
+            got = evaluator.payoff_of_coins(coins, normalize=False)
+            assert abs(got - payoff_expectation(run(plan, coins, init))) <= 1e-13
+            assert abs(got - ref_total(ref_play(plan, coins, init.amplitudes))) <= 1e-13
 
 
 def test_imaginary_parts_are_taken_once_at_the_first_complex_coins(monkeypatch):
@@ -732,6 +703,31 @@ def test_block_route_rereads_only_an_array_a_caller_can_change(source, reads_per
     evaluator.payoff(0.01)
     evaluator.expansion(random_phases(rng))
     assert len(reads) == 4 * reads_per_evaluation
+
+
+# --- every dense route against the kernel-free reference at 20 qubits ---
+
+@pytest.mark.parametrize("seq, block", [("B" * 18, False), ("AAB" * 6 + "AA", True)],
+                         ids=["B^18-window", "(AAB)^6AA-block"])
+def test_every_dense_route_matches_the_reference_at_20_qubits(seq, block):
+    # Above one tile of 2**16 amplitudes, at the real tile size: B^18 takes
+    # the window route in groups of windows, and (AAB)^6 AA the block route,
+    # whose first blocks take the density pass's second sweep.  run, the
+    # window route and the Evaluator's route agree with the reference, one
+    # einsum per game, on custom amplitudes and random SU(2) coins.
+    plan = compile_sequence(seq)
+    assert plan.total_qubits == 20
+    assert takes_block_route(seq) == block
+    rng = np.random.default_rng(1700)
+    amps = np.array(random_state(20, rng).amplitudes)
+    coins = random_coins(rng)
+    want = ref_total(ref_play(plan, coins, amps))
+    got = [
+        ref_total(run(plan, coins, amps).amplitudes),
+        payoff._dense_total(plan, coins, amps, np.empty_like(amps)),
+        Evaluator(seq, amps).payoff_of_coins(coins, normalize=False),
+    ]
+    assert all(abs(total - want) <= 1e-13 for total in got), (want, got)
 
 
 # --- quantum vs classical on basis inputs ---

@@ -2,7 +2,6 @@ import math
 import os
 import subprocess
 import sys
-import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -12,12 +11,11 @@ from hypothesis import strategies as st
 
 import qparrondo
 from qparrondo import payoff, statevector, wiring
-from qparrondo.coins import PhaseAssignment, games_from_bias, su2_matrix
+from qparrondo.coins import games_from_bias, su2_matrix
 from qparrondo.statevector import (
     MAX_QUBITS,
     STRUCTURAL_TOL,
     StateVector,
-    apply_gate,
     apply_multiplexed,
     check_coins,
     check_unitary2,
@@ -26,6 +24,16 @@ from qparrondo.statevector import (
 )
 from qparrondo.payoff import payoff_expectation
 from qparrondo.wiring import compile_sequence, run
+
+from helpers import (
+    random_coins,
+    random_phases,
+    random_state,
+    random_unitary,
+    ref_game,
+    ref_play,
+    traced_peak,
+)
 
 ATOL = 1e-12
 
@@ -69,24 +77,17 @@ def block_diag(mats):
     return out
 
 
+def play_game(buf, target, mats):
+    """One game on ``buf`` in place, by the kernel: one matrix acts on the
+    target (game A), or four, picked by the two qubits before it (game B)."""
+    apply_multiplexed(buf, [(target - (0 if len(mats) == 1 else 2), mats)])
+
+
 def applied(state, target, mats):
-    """apply_gate on a copy of the state's amplitudes; returns the copy."""
+    """play_game on a copy of the state's amplitudes; returns the copy."""
     buf = np.array(state.amplitudes)
-    apply_gate(buf, target, mats)
+    play_game(buf, target, mats)
     return buf
-
-
-def random_state(n, rng):
-    amps = rng.standard_normal(1 << n) + 1j * rng.standard_normal(1 << n)
-    return StateVector(n, amps / np.linalg.norm(amps))
-
-
-def random_unitary(rng):
-    return su2_matrix(
-        theta=rng.uniform(-math.pi, math.pi),
-        gamma=rng.uniform(0, 2 * math.pi),
-        delta=rng.uniform(0, 2 * math.pi),
-    )
 
 
 # --- construction ---
@@ -247,7 +248,7 @@ def test_unitary_then_inverse_roundtrips():
     s = random_state(4, rng)
     u = random_unitary(rng)
     buf = applied(s, 3, (u,))
-    apply_gate(buf, 3, (u.conj().T,))
+    play_game(buf, 3, (u.conj().T,))
     assert np.allclose(buf, s.amplitudes, atol=ATOL)
 
 
@@ -261,15 +262,6 @@ def test_single_qubit_matches_reference_kernel():
         out = applied(s, target, (u,))
         ref = ref_apply_single(s.amplitudes, n, target, u)
         assert np.allclose(out, ref, atol=ATOL)
-
-
-def test_single_qubit_rejects_bad_target():
-    buf = np.array(make_named_state(3, "ghz").amplitudes)
-    before = buf.copy()
-    for target in (0, 4, -1):
-        with pytest.raises(ValueError, match="out of range"):
-            apply_gate(buf, target, (np.eye(2),))
-    assert np.array_equal(buf, before)
 
 
 # --- multiplexed gate (game B: the window t-2, t-1 picks the coin) ---
@@ -352,25 +344,6 @@ def test_controls_undisturbed_on_basis_input():
             assert format(idx, "04b")[:3] == label[:3]
 
 
-def test_multiplexed_rejects_index_collisions():
-    # a B's window must lie inside the register, so its target is 3..n
-    buf = np.array(make_named_state(3, "ghz").amplitudes)
-    before = buf.copy()
-    for target in (1, 2, 4, 0):
-        with pytest.raises(ValueError, match="out of range"):
-            apply_gate(buf, target, (np.eye(2),) * 4)
-    assert np.array_equal(buf, before)
-
-
-@pytest.mark.parametrize("count", [0, 2, 3, 5])
-def test_gate_rejects_wrong_matrix_count(count):
-    buf = np.array(make_named_state(3, "ghz").amplitudes)
-    before = buf.copy()
-    with pytest.raises(ValueError, match="matrices"):
-        apply_gate(buf, 3, (np.eye(2),) * count)
-    assert np.array_equal(buf, before)
-
-
 # --- cross-cutting properties ---
 
 def test_norm_preserved_by_random_gates():
@@ -378,10 +351,10 @@ def test_norm_preserved_by_random_gates():
     buf = np.array(random_state(5, rng).amplitudes)
     for _ in range(30):
         if rng.random() < 0.5:
-            apply_gate(buf, int(rng.integers(1, 6)), (random_unitary(rng),))
+            play_game(buf, int(rng.integers(1, 6)), (random_unitary(rng),))
         else:
             mats = [random_unitary(rng) for _ in range(4)]
-            apply_gate(buf, int(rng.integers(3, 6)), mats)
+            play_game(buf, int(rng.integers(3, 6)), mats)
         assert abs(np.sum(np.abs(buf) ** 2) - 1.0) < ATOL
 
 
@@ -476,6 +449,23 @@ def test_inplace_kernels_match_reference_above_block_size():
     check_inplace_against_reference(random_state(16, rng), rng, (1, 8, 13, 16), (3, 8, 16))
 
 
+@pytest.mark.parametrize("n", range(3, 11))
+def test_reference_game_matches_the_per_basis_kernels(n):
+    # The tests' kernel-free reference, one einsum per game, against the
+    # per-basis kernels: game A on every target and game B on every window,
+    # with random SU(2) coins
+    rng = np.random.default_rng(1000 + n)
+    amps = random_state(n, rng).amplitudes
+    for target in range(1, n + 1):
+        u = random_unitary(rng)
+        want = ref_apply_single(amps, n, target, u)
+        assert np.allclose(ref_game(amps, target, (u,)), want, atol=ATOL, rtol=0.0), target
+    for target in range(3, n + 1):
+        mats = [random_unitary(rng) for _ in range(4)]
+        want = ref_apply_multiplexed(amps, n, target - 2, target - 1, target, mats)
+        assert np.allclose(ref_game(amps, target, mats), want, atol=ATOL, rtol=0.0), target
+
+
 # --- run against a gate-by-gate chain of the reference kernels ---
 
 def played_games(plan):
@@ -502,12 +492,7 @@ def random_run_case(rng, max_qubits=10, kinds=("zero", "ghz", "custom")):
     kind = kinds[int(rng.integers(len(kinds)))]
     n = plan.total_qubits
     init = random_state(n, rng) if kind == "custom" else make_named_state(n, kind)
-    phases = PhaseAssignment(
-        gamma=rng.uniform(0, 2 * math.pi),
-        delta=rng.uniform(0, 2 * math.pi),
-        alphas=tuple(rng.uniform(0, 2 * math.pi, 4)),
-        betas=tuple(rng.uniform(0, 2 * math.pi, 4)),
-    )
+    phases = random_phases(rng)
     eps = rng.uniform(-0.09, 0.09)
     return plan, init, games_from_bias(eps, phases)
 
@@ -569,18 +554,6 @@ def test_run_returns_read_only_amplitudes_and_leaves_init_untouched():
 
 # --- the fused run: windows of games against the per-gate loop ---
 
-def gate_loop(plan, coins, amplitudes):
-    """The reference for run: the plan's games one apply_gate call each."""
-    buf = np.array(amplitudes)
-    for target, token in enumerate(plan.tokens, start=plan.seed_count + 1):
-        apply_gate(buf, target, coin_matrices(coins)[token])
-    return buf
-
-
-def random_coins(rng):
-    return np.array([random_unitary(rng) for _ in range(5)])
-
-
 def token_strings(length):
     """All 2**length strings over {A, B} of one length."""
     return [format(k, f"0{length}b").translate(str.maketrans("01", "AB")) for k in range(1 << length)]
@@ -599,7 +572,7 @@ def test_run_matches_gate_loop_at_every_window_offset(games, monkeypatch):
             init = random_state(plan.total_qubits, rng)
             coins = random_coins(rng)
             out = run(plan, coins, init)
-            expected = gate_loop(plan, coins, init.amplitudes)
+            expected = ref_play(plan, coins, init.amplitudes)
             assert np.allclose(out.amplitudes, expected, atol=ATOL, rtol=0.0), seq
 
 
@@ -621,13 +594,13 @@ def test_run_matches_gate_loop_on_random_plans(seq, seed, chunk):
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(statevector, "_CHUNK", chunk)
         out = run(plan, coins, init)
-    expected = gate_loop(plan, coins, init.amplitudes)
+    expected = ref_play(plan, coins, init.amplitudes)
     assert np.allclose(out.amplitudes, expected, atol=ATOL, rtol=0.0)
 
 
 @pytest.mark.parametrize("games", range(1, 6))
 def test_window_operators_are_unitary_and_keep_their_controls(games):
-    # The whole operator of each window, from apply_gate on every identity
+    # The whole operator of each window, from ref_game on every identity
     # column of its controls and targets, is unitary, never maps one control
     # value into another, and its diagonal blocks are the window's operator.
     rng = np.random.default_rng(950 + games)
@@ -639,7 +612,7 @@ def test_window_operators_are_unitary_and_keep_their_controls(games):
         size = 1 << (controls + games)
         whole = np.eye(size, dtype=complex).reshape(-1)
         for target, token in enumerate(window, start=controls + 1):
-            apply_gate(whole, target, gates[token])
+            whole = ref_game(whole, target, gates[token])
         whole = whole.reshape(size, size)
         assert np.abs(whole.conj().T @ whole - np.eye(size)).max() <= STRUCTURAL_TOL
         blocks = whole.reshape(1 << controls, 1 << games, 1 << controls, 1 << games)
@@ -779,7 +752,7 @@ def test_grouped_driver_matches_gate_loop(seq, seed, tile, row, real):
     n = plan.total_qubits
     init = random_state(n, rng)
     coins = real_coins(rng) if real else random_coins(rng)
-    expected = gate_loop(plan, coins, init.amplitudes)
+    expected = ref_play(plan, coins, init.amplitudes)
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(statevector, "_TILE", 1 << tile)
         patch.setattr(statevector, "_CHUNK", 1 << tile)
@@ -815,17 +788,12 @@ def test_grouped_driver_at_the_real_tile_size(seq, phased):
     plan = compile_sequence(seq)
     n = plan.total_qubits
     assert n == 18
-    phases = PhaseAssignment(
-        gamma=rng.uniform(0, 2 * math.pi),
-        delta=rng.uniform(0, 2 * math.pi),
-        alphas=tuple(rng.uniform(0, 2 * math.pi, 4)),
-        betas=tuple(rng.uniform(0, 2 * math.pi, 4)),
-    ) if phased else None
+    phases = random_phases(rng) if phased else None
     coins = games_from_bias(0.013, phases)
     assert bool(coins.imag.any()) == phased
     assert multi_window_groups(plan, coins)[0]
     init = random_state(n, rng)
-    expected = gate_loop(plan, coins, init.amplitudes)
+    expected = ref_play(plan, coins, init.amplitudes)
     out = run(plan, coins, init)
     assert np.allclose(out.amplitudes, expected, atol=ATOL, rtol=0.0)
     work = np.empty_like(init.amplitudes)
@@ -836,16 +804,6 @@ def test_grouped_driver_at_the_real_tile_size(seq, phased):
 # --- memory: no state-sized temporaries (tracemalloc sees numpy's buffers) ---
 
 MEMORY_QUBITS = 20
-
-
-def traced_peak(f) -> int:
-    """Peak bytes traced while ``f()`` runs, its result included."""
-    tracemalloc.start()
-    try:
-        f()
-        return tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
 
 
 def read_only_state_amplitudes(n, rng):

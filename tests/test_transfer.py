@@ -13,8 +13,10 @@ from qparrondo.optimize import optimize_phases
 from qparrondo.payoff import payoff_epsilon_expansion, payoff_expectation, sequence_payoff
 from qparrondo.statevector import make_named_state
 from qparrondo.table import build_table
-from qparrondo.transfer import transfer_total, walk_total
+from qparrondo.transfer import transfer_total
 from qparrondo.wiring import compile_sequence, ghz_phase_sensitive, run
+
+from helpers import random_phases
 
 ATOL = 1e-12
 
@@ -105,7 +107,7 @@ def test_a_compiled_walk_matches_a_fresh_walk_at_every_coin_set(seq, kind):
     plan = compile_sequence(seq)
     walk = transfer._compile_walk(plan, kind)
     for _ in range(60):
-        coins = games_from_bias(rng.uniform(-0.09, 0.09), random_phase_assignment(rng))
+        coins = games_from_bias(rng.uniform(-0.09, 0.09), random_phases(rng))
         assert walk(coins) == transfer_total(plan, coins, kind)
 
 
@@ -158,15 +160,6 @@ def two_chain_total(seq, eps):
     return 0.5 * (zeros + ones)
 
 
-def random_phase_assignment(rng):
-    return PhaseAssignment(
-        gamma=rng.uniform(0, 2 * math.pi),
-        delta=rng.uniform(0, 2 * math.pi),
-        alphas=tuple(rng.uniform(0, 2 * math.pi, 4)),
-        betas=tuple(rng.uniform(0, 2 * math.pi, 4)),
-    )
-
-
 def test_ghz_is_the_mean_of_two_classical_chains_on_every_short_phase_blind_plan():
     # Every plan of at most 10 tokens that ghz_phase_sensitive calls
     # phase-blind, at a random bias and random phases
@@ -179,8 +172,8 @@ def test_ghz_is_the_mean_of_two_classical_chains_on_every_short_phase_blind_plan
             if ghz_phase_sensitive(plan):
                 continue
             eps = rng.uniform(-0.09, 0.09)
-            coins = games_from_bias(eps, random_phase_assignment(rng))
-            assert abs(walk_total(plan, coins, "ghz") - two_chain_total(seq, eps)) <= 1e-13, seq
+            coins = games_from_bias(eps, random_phases(rng))
+            assert abs(transfer_total(plan, coins, "ghz") - two_chain_total(seq, eps)) <= 1e-13, seq
             plans += 1
     assert plans == 1991
 
@@ -201,7 +194,7 @@ def test_ghz_is_the_mean_of_two_classical_chains_on_long_plans(length, b_share, 
     seq = "".join(np.where(rng.random(length) < b_share, "B", "A"))
     plan = compile_sequence(seq)
     assume(not ghz_phase_sensitive(plan))
-    walk = walk_total(plan, games_from_bias(eps, phases), "ghz")
+    walk = transfer_total(plan, games_from_bias(eps, phases), "ghz")
     assert abs(walk - two_chain_total(seq, eps)) <= 1e-12 * plan.total_qubits
 
 # --- checks the walk shares with the dense engine ---

@@ -9,22 +9,15 @@ from hypothesis import strategies as st
 
 from qparrondo import statevector
 from qparrondo import wiring as wiring_module
-from qparrondo.coins import PhaseAssignment, games_from_bias
+from qparrondo.coins import games_from_bias
 from qparrondo.payoff import Evaluator
 from qparrondo.statevector import make_basis_state, make_named_state, window_span
 from qparrondo.transfer import transfer_total
 from qparrondo.wiring import compile_sequence, ghz_phase_sensitive, initial_amplitudes, run
 
+from helpers import random_phases
+
 ATOL = 1e-12
-
-
-def random_phases(rng):
-    return PhaseAssignment(
-        gamma=rng.uniform(0, 2 * math.pi),
-        delta=rng.uniform(0, 2 * math.pi),
-        alphas=tuple(rng.uniform(0, 2 * math.pi, 4)),
-        betas=tuple(rng.uniform(0, 2 * math.pi, 4)),
-    )
 
 
 # --- compilation ---
