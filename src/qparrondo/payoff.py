@@ -13,31 +13,17 @@ Payoffs are reported "to first order" as a pair (c0, c1), payoff ~ c0 +
 c1*eps, with c1 the central difference of ``coins.bias_expansion``.
 
 ``Evaluator`` is the one selection point: it compiles a sequence once and
-picks one of three routes once.  The all-zero and GHZ states, named by the
-strings "zero" and "ghz", take the linear-time transfer-matrix walk of
-``transfer`` (any sequence length), compiled once per Evaluator; a
-StateVector or amplitudes take one of two dense routes (at most MAX_QUBITS
-qubits), validated once, when the Evaluator is built, by
-``wiring.initial_amplitudes``.  Each evaluation
-builds the five coins of ``coins.games_from_bias``, SU(2) by construction,
-and hands that one array, unchecked, to the route; every route checks the
-final norm.  Both dense totals equal ``payoff_expectation(run(...))``.
-
-The block route takes a plan that splits into independent blocks
-(``wiring._blocks``) of at most _MAX_WINDOW qubits each, such as (AAB)^7 A.
-A block's payoff depends on the initial state only through the block's
-reduced density matrix rho, which no bias or phase changes, so rho is taken
-once (``statevector._reduced_densities``; its imaginary part once more, at
-the first complex coins), and each evaluation is a sum of traces of small
-matrices per block (``_block_total``).  A caller's own array is then read
-once per evaluation, for its norm, and a StateVector's amplitudes or an
-array the Evaluator converted not at all; no work buffer is allocated.
-
-The window route takes every other plan.  It reduces the products of the
-last group of windows of ``wiring.play_to_last_window`` into the payoff as
-they are made: the final state is never written, and its norm is checked,
-by the StateVector rule, from the reduction's own chunk sums.  Only this
-route keeps a state-sized work buffer.
+picks one of three routes once, each compiled into a function of the coins.
+The all-zero and GHZ states, named by the strings "zero" and "ghz", take the
+linear-time transfer-matrix walk (``transfer._compile_walk``, any sequence
+length); a StateVector or amplitudes (at most MAX_QUBITS qubits), validated
+once by ``wiring.initial_amplitudes``, take the block route
+(``_compile_blocks``) or the window route (``_compile_window``).
+Each route is described in its compile function's docstring.  Each
+evaluation builds the five coins of ``coins.games_from_bias``, SU(2) by
+construction, and hands that one array, unchecked, to the route; every route
+checks the final norm.  Both dense totals equal
+``payoff_expectation(run(...))``.
 """
 from __future__ import annotations
 
@@ -102,27 +88,40 @@ def payoff_expectation(state: StateVector) -> float:
     """Expected payoff sum((2*popcount(label) - n) * |amp|^2); lies in [-n, n].
 
     Reduced in chunks of ``statevector._CHUNK`` amplitudes.  A state of at
-    most one chunk is reduced exactly as a whole.
+    most one chunk is reduced exactly as a whole.  The |psi|^2 the reduction
+    sums goes through ``check_norm``, the StateVector rule.
     """
     amps = state.amplitudes
-    return _reduce(amps.reshape(-1, min(amps.size, statevector._CHUNK)))[0]
-
-
-def _dense_total(plan, coins: np.ndarray, init: np.ndarray, work: np.ndarray,
-                 tiles: np.ndarray | None = None) -> float:
-    """The dense payoff total of the initial amplitudes ``init``, that is
-    ``payoff_expectation(run(plan, coins, StateVector(n, init)))``, without
-    the final state: the groups of windows before the last are played in the
-    work buffer ``work``, the last group's product tiles, contiguous runs of
-    the state in order, go straight to the reduction, and the final norm is
-    checked from its chunk sums by ``check_norm``, the StateVector rule.
-    ``tiles`` is handed to the kernel (``statevector.multiplexed_products``)."""
-    state, group = play_to_last_window(plan, coins, init, work, tiles)
-    total, norm_sq = _reduce(
-        product.reshape(-1) for _, product in multiplexed_products(state, group, tiles)
-    )
+    total, norm_sq = _reduce(amps.reshape(-1, min(amps.size, statevector._CHUNK)))
     check_norm(norm_sq)
     return total
+
+
+def _compile_window(plan, init: np.ndarray, work: np.ndarray, tiles: np.ndarray | None = None):
+    """The window route of ``plan`` on the initial amplitudes ``init``,
+    compiled: a function of the five coins that returns the total payoff,
+    ``payoff_expectation(run(plan, coins, StateVector(n, init)))``, without
+    the final state.  It takes every plan the block route does not.
+
+    An evaluation plays the groups of windows before the last
+    (``wiring.play_to_last_window``) in the work buffer ``work``, reading
+    ``init`` in the first, and sends the last group's product tiles,
+    contiguous runs of the state in order, straight to the reduction: the
+    final state is never written, and its norm is checked from the
+    reduction's own chunk sums by ``check_norm``, the StateVector rule.
+    ``tiles`` is handed to the kernel (``statevector.multiplexed_products``).
+    Only this route keeps a state-sized buffer.
+    """
+
+    def evaluate(coins: np.ndarray) -> float:
+        state, group = play_to_last_window(plan, coins, init, work, tiles)
+        total, norm_sq = _reduce(
+            product.reshape(-1) for _, product in multiplexed_products(state, group, tiles)
+        )
+        check_norm(norm_sq)
+        return total
+
+    return evaluate
 
 
 def _block_payoffs(size: int) -> np.ndarray:
@@ -134,47 +133,61 @@ def _block_payoffs(size: int) -> np.ndarray:
     return z
 
 
-def _block_total(blocks, coins: np.ndarray, amps: np.ndarray, densities: list,
-                 reread: bool) -> float:
-    """The dense payoff total of a plan cut into independent blocks
-    (``wiring._blocks``), each of at most _MAX_WINDOW qubits, from the
-    initial amplitudes ``amps``: the sum over the blocks of Tr(U^H Z U rho),
-    with U the block's unitary, Z its payoff summed over its qubits, seeds
-    included, and rho its reduced density matrix.
+def _compile_blocks(blocks, amps: np.ndarray, reread: bool):
+    """The block route on the initial amplitudes ``amps``, compiled: a
+    function of the five coins that returns the total payoff of a plan cut
+    into independent blocks (``wiring._blocks``), each of at most
+    _MAX_WINDOW qubits, such as (AAB)^7 A.
 
-    ``densities`` holds the real parts of the blocks' rho, taken once, and
-    gets their imaginary parts, taken once too, at the first coins whose
-    block operators are complex.  If ``reread``, ``amps`` is read for its
-    norm alone, by the StateVector norm rule; the caller passes False where
-    no one can have changed it since it was checked.  Each block's Tr(U^H U
-    rho) goes through that rule too: it is the final norm.
+    A block's payoff depends on the initial state only through the block's
+    reduced density matrix rho, which no bias or phase changes: the total is
+    the sum over the blocks of Tr(U^H Z U rho), with U the block's unitary
+    and Z its payoff summed over its qubits, seeds included.  The real parts
+    of the blocks' rho are taken here, in one pass
+    (``statevector._reduced_densities``), and so is each distinct block's
+    payoff diagonal Z; the imaginary parts are taken once more, at the first
+    coins whose block operators are complex.  An evaluation builds each
+    distinct block's operator from its coins and sums small traces; no work
+    buffer is kept.
+
+    If ``reread``, every evaluation reads ``amps`` for its norm alone, by
+    the StateVector norm rule; the caller passes False where no one can have
+    changed it since it was checked.  Each block's Tr(U^H U rho) goes
+    through that rule too: it is the final norm.
     """
-    if reread:
-        check_norm(statevector._norm_sq(amps))
-    gates = {"A": coins[:1], "B": coins[1:]}
-    # (U^H U, U^H Z U) of each distinct block: a block's games alone fix its
-    # operator, since only the first block can open with a B.
-    operators = {}
-    for tokens in {tokens for _, _, tokens in blocks}:
-        ops = wiring._window_operator(tokens, gates)
-        # The window's games act on its targets once per value of the seed
-        # qubits it reads, the block's first qubits.
-        u = np.einsum("ab,aij->aibj", np.eye(len(ops)), ops).reshape(len(ops) * len(ops[0]), -1)
-        uh = u.conj().T
-        operators[tokens] = (uh @ u, uh @ (_block_payoffs(len(u).bit_length() - 1)[:, None] * u))
-    if len(densities) == 1 and any(m.imag.any() for pair in operators.values() for m in pair):
-        spans = [(first, last) for first, last, _ in blocks]
-        densities.append(statevector._reduced_densities(amps, spans, imag=True))
-    total = 0.0
-    for k, (_, _, tokens) in enumerate(blocks):
-        # Tr(M rho) = sum of M[i, j] conj(rho[i, j]), for Hermitian M and rho.
-        norm_sq, value = (
-            sum(np.vdot(part[k], m) for part, m in zip(densities, (op.real, op.imag)))
-            for op in operators[tokens]
-        )
-        check_norm(norm_sq)
-        total += value
-    return float(total)
+    spans = [(first, last) for first, last, _ in blocks]
+    densities = [statevector._reduced_densities(amps, spans)]
+    # Blocks with the same games share one operator and one payoff diagonal:
+    # only the first block can open with a B.
+    payoffs = {tokens: _block_payoffs(last - first + 1)[:, None] for first, last, tokens in blocks}
+
+    def evaluate(coins: np.ndarray) -> float:
+        if reread:
+            check_norm(statevector._norm_sq(amps))
+        gates = {"A": coins[:1], "B": coins[1:]}
+        # (U^H U, U^H Z U) of each distinct block.
+        operators = {}
+        for tokens, z in payoffs.items():
+            ops = wiring._window_operator(tokens, gates)
+            # The window's games act on its targets once per value of the
+            # seed qubits it reads, the block's first qubits.
+            u = np.einsum("ab,aij->aibj", np.eye(len(ops)), ops).reshape(len(ops) * len(ops[0]), -1)
+            uh = u.conj().T
+            operators[tokens] = (uh @ u, uh @ (z * u))
+        if len(densities) == 1 and any(m.imag.any() for pair in operators.values() for m in pair):
+            densities.append(statevector._reduced_densities(amps, spans, imag=True))
+        total = 0.0
+        for k, (_, _, tokens) in enumerate(blocks):
+            # Tr(M rho) = sum of M[i, j] conj(rho[i, j]), for Hermitian M and rho.
+            norm_sq, value = (
+                sum(np.vdot(part[k], m) for part, m in zip(densities, (op.real, op.imag)))
+                for op in operators[tokens]
+            )
+            check_norm(norm_sq)
+            total += value
+        return float(total)
+
+    return evaluate
 
 
 def per_qubit(total: float, num_qubits: int) -> float:
@@ -196,19 +209,13 @@ class PayoffExpansion:
 class Evaluator:
     """The payoff of one sequence on one initial state, at any bias and phases.
 
-    ``plan`` is compiled and the route chosen once: NAMED_STATES take the
-    transfer-matrix walk, compiled here for the plan and the state, so that
-    an evaluation builds only what its coins change; a StateVector or
-    amplitudes are validated once, here, and take a dense route.  A plan of
-    independent blocks of at most _MAX_WINDOW qubits takes the block route:
-    each block's reduced density matrix is taken here, its imaginary part at
-    the first complex coins, and each evaluation re-reads a caller's own
-    array (below) for its norm alone; a StateVector's amplitudes and an
-    array converted here are not read again, since no caller can change
-    them.  Any other plan takes the window route, which reads the amplitudes
-    once per evaluation and keeps one state-sized work buffer and two tile
-    buffers for its evaluations.  Every route checks the final norm of every
-    evaluation.  One Evaluator must not evaluate in two threads at once.
+    ``plan`` is compiled and the route chosen once, and the route compiled
+    into a function of the coins: NAMED_STATES take the transfer-matrix walk
+    (``transfer._compile_walk``); a StateVector or amplitudes are validated
+    once, here, and take the block route (``_compile_blocks``) if every
+    independent block of the plan has at most _MAX_WINDOW qubits, else the
+    window route (``_compile_window``).  Every route checks the final norm of
+    every evaluation.  One Evaluator must not evaluate in two threads at once.
 
     ``phase_sensitive`` records, from the plan and the initial state alone,
     whether any phase can move the payoff: never on "zero", whose one branch
@@ -218,11 +225,11 @@ class Evaluator:
 
     A C-contiguous complex128 array is not copied: every evaluation reads
     the caller's array, and none writes it.  Do not change it while the
-    Evaluator is in use; pass a StateVector for a snapshot.  A change that
-    breaks the normalization is still rejected by the norm check of the next
-    evaluation; on the block route a change that keeps it goes unseen.  Any
-    other array (real, non-contiguous or byte-swapped) is converted once into
-    an array of the Evaluator's own.
+    Evaluator is in use; pass a StateVector, always a snapshot, instead.  A
+    change that breaks the normalization is still rejected by the norm check
+    of the next evaluation; on the block route a change that keeps it goes
+    unseen.  Any other array (real, non-contiguous or byte-swapped) is
+    converted once into an array of the Evaluator's own.
     """
 
     def __init__(self, seq: str, init="ghz"):
@@ -235,19 +242,16 @@ class Evaluator:
             blocks = wiring._blocks(plan)
             self.phase_sensitive = True
             if all(last - first < wiring._MAX_WINDOW for first, last, _ in blocks):
-                spans = [(first, last) for first, last, _ in blocks]
-                densities = [statevector._reduced_densities(amps, spans)]
                 # Only the caller's own array can change after its check: a
                 # StateVector's is unchangeable, and a converted one is ours.
-                reread = amps is init
-                self._total = lambda coins: _block_total(blocks, coins, amps, densities, reread)
+                self._total = _compile_blocks(blocks, amps, reread=amps is init)
             else:
                 # One work buffer and one pair of tiles for every evaluation:
                 # a fresh state-sized array would be faulted into memory page
                 # by page on each of them.
                 work = np.empty_like(amps)
                 tiles = np.empty((2, min(statevector._TILE, amps.size)), dtype=complex)
-                self._total = lambda coins: _dense_total(plan, coins, amps, work, tiles)
+                self._total = _compile_window(plan, amps, work, tiles)
 
     def payoff(
         self,

@@ -5,15 +5,16 @@ and qubit 1 is the *most significant* bit of a basis label, so for three
 qubits the label "110" is basis index 6.  This makes a state written
 |q1 q2 q3> read left to right in both math and code.
 
-States are immutable at the API: a StateVector holds read-only amplitudes,
-copied unless the array given is already read-only and owns its memory, and
-validated when it is built, the copy rather than the caller's array.  The
-checks of the engine's inputs live here, each written once:
+States are immutable at the API: a StateVector is a snapshot that holds
+read-only amplitudes, always a copy of the caller's array (even a read-only
+array can be made writable again by its owner), validated when it is built.
+The checks of the engine's inputs live here, each written once:
 :func:`check_amplitudes` is the StateVector rule on one array (register size,
 length, finite entries, unit norm, in one pass that allocates nothing),
 :func:`check_norm` its norm rule on its own, for a norm summed elsewhere, and
 :func:`check_coins` the rule of a five-coin array.  The named and basis
-states are built read-only and adopted without a copy.
+states, and ``wiring.run``'s final state, are arrays the package makes
+itself: ``_adopt`` holds them without a copy.
 
 One kernel does the arithmetic.  :func:`multiplexed_products` plays a group
 of windows, each a stack of matrices applied to consecutive qubits, one
@@ -67,21 +68,28 @@ class StateVector:
 
     Invariants (enforced at construction): the amplitude array has length
     ``2**num_qubits``, finite entries and unit norm within STRUCTURAL_TOL.
+    It is a read-only copy of the array given, so the state is a snapshot.
     """
 
     num_qubits: int
     amplitudes: np.ndarray
 
     def __post_init__(self) -> None:
-        amps = np.asarray(self.amplitudes, dtype=complex)
-        # A read-only array that owns its memory cannot change under us; any
-        # other is copied first, so the copy is what gets checked and kept.
-        if amps.flags.writeable or not amps.flags.owndata:
-            amps = amps.copy()
-            amps.setflags(write=False)
-        check_amplitudes(self.num_qubits, amps)
-        object.__setattr__(self, "amplitudes", amps)
-        object.__setattr__(self, "num_qubits", int(self.num_qubits))
+        # Always a copy, so the copy is what gets checked and kept: whoever
+        # owns an array, read-only or not, can write it.
+        _adopt(self.num_qubits, np.array(self.amplitudes, dtype=complex, order="C"), self)
+
+
+def _adopt(num_qubits: int, amps: np.ndarray, state: StateVector | None = None) -> StateVector:
+    """``state``, or a new StateVector, holding the complex128 array
+    ``amps`` itself, made read-only and checked by the StateVector rule.
+    Only for an array no caller holds: one the package has just made."""
+    amps.setflags(write=False)
+    check_amplitudes(num_qubits, amps)
+    state = object.__new__(StateVector) if state is None else state
+    object.__setattr__(state, "amplitudes", amps)
+    object.__setattr__(state, "num_qubits", int(num_qubits))
+    return state
 
 
 def check_amplitudes(num_qubits: int, amps: np.ndarray) -> None:
@@ -167,8 +175,7 @@ def make_basis_state(num_qubits: int, label: str) -> StateVector:
         raise ValueError(f"label {label!r} must contain only '0' and '1'")
     amps = np.zeros(1 << num_qubits, dtype=complex)
     amps[int(label, 2)] = 1.0
-    amps.setflags(write=False)  # adopted by the StateVector without a copy
-    return StateVector(num_qubits, amps)
+    return _adopt(num_qubits, amps)
 
 
 def make_named_state(num_qubits: int, name: str) -> StateVector:
@@ -181,8 +188,7 @@ def make_named_state(num_qubits: int, name: str) -> StateVector:
     weights = NAMED_STATES[name]
     amps = np.zeros(1 << num_qubits, dtype=complex)
     amps[[0, -1][: len(weights)]] = weights
-    amps.setflags(write=False)  # adopted by the StateVector without a copy
-    return StateVector(num_qubits, amps)
+    return _adopt(num_qubits, amps)
 
 
 # Amplitudes per block of a window played alone: a block and its product

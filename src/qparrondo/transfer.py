@@ -21,17 +21,15 @@ time and O(1) memory.
 The walk is compiled once per plan and state (``_compile_walk``): the
 branch weights, the seed pair table, the gate order and the start are fixed
 there, and an evaluation builds only the pair tables of games A and B from
-its coins before it runs the chain.  ``payoff.Evaluator`` compiles once and
-evaluates at every bias and phase it is asked for.  ``transfer_total`` checks
-a caller's state name and coins, then compiles the walk and evaluates it
-once.  The compiled walk trusts its coins and checks the carried norm at the
-end.
+its coins before it runs the chain.  ``payoff.Evaluator``, its one caller,
+compiles once and evaluates at every bias and phase it is asked for.  The
+compiled walk trusts its coins and checks the carried norm at the end.
 """
 from __future__ import annotations
 
 import numpy as np
 
-from .statevector import NAMED_STATES, STRUCTURAL_TOL, check_coins
+from .statevector import NAMED_STATES, STRUCTURAL_TOL
 from .wiring import CircuitPlan
 
 # Payoff of an outcome bit: -1 for a loss (0), +1 for a win (1).
@@ -39,18 +37,6 @@ _PAYOFF = np.array([-1.0, 1.0])
 
 # A seed qubit is never played: its factor <y_q|x> is the identity.
 _SEED = np.eye(2)[:, None, None, :]
-
-
-def transfer_total(plan: CircuitPlan, coins: np.ndarray, kind: str) -> float:
-    """Exact total payoff of ``plan`` on the ``kind`` ("zero" or "ghz") state,
-    with the five coins of ``coins.games_from_bias``: the walk compiled for
-    the plan and the state (``_compile_walk``), evaluated once on the coins.
-    The state name and the coins are checked here (``check_coins``)."""
-    if not isinstance(kind, str) or kind not in NAMED_STATES:
-        raise ValueError(
-            f"no transfer-matrix walk for initial state {kind!r}; use {tuple(NAMED_STATES)}"
-        )
-    return _compile_walk(plan, kind)(check_coins(coins))
 
 
 def _compile_walk(plan: CircuitPlan, kind: str):

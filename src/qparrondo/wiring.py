@@ -322,5 +322,4 @@ def run(plan: CircuitPlan, coins: np.ndarray, init) -> StateVector:
     buf = np.empty_like(amps)
     state, group = play_to_last_window(plan, coins, amps, buf)
     apply_multiplexed(buf, group, src=state)
-    buf.setflags(write=False)
-    return StateVector(plan.total_qubits, buf)
+    return statevector._adopt(plan.total_qubits, buf)

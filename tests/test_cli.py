@@ -77,9 +77,13 @@ def test_payoff_evaluates_each_distinct_bias_once(runner, tmp_path, monkeypatch,
     # c0 is the payoff at eps = 0, so the default --eps 0 needs one run fewer.
     # "B" is one block of three qubits, evaluated by the block route.
     runs = []
-    real = qparrondo.payoff._block_total
-    monkeypatch.setattr(qparrondo.payoff, "_block_total",
-                        lambda *args: runs.append(1) or real(*args))
+    compile_blocks = qparrondo.payoff._compile_blocks
+
+    def counted(*args, **kwargs):
+        total_of = compile_blocks(*args, **kwargs)
+        return lambda coins: runs.append(1) or total_of(coins)
+
+    monkeypatch.setattr(qparrondo.payoff, "_compile_blocks", counted)
     amps = np.zeros(8)
     amps[0] = amps[7] = 1 / math.sqrt(2)
     path = tmp_path / "ghz3.json"

@@ -213,10 +213,11 @@ def test_dense_total_matches_payoff_of_the_run_state(seq, seed, chunk):
     plan = compile_sequence(seq)
     init = random_state(plan.total_qubits, rng)
     work = np.full_like(init.amplitudes, math.nan)
+    total_of = payoff._compile_window(plan, init.amplitudes, work)
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(statevector, "_CHUNK", chunk)
         for coins in (random_coins(rng), random_coins(rng)):
-            total = payoff._dense_total(plan, coins, init.amplitudes, work)
+            total = total_of(coins)
             out = run(plan, coins, init)
             want = ref_total(ref_play(plan, coins, init.amplitudes))
             assert abs(total - payoff_expectation(out)) <= 1e-13
@@ -241,7 +242,7 @@ def test_one_window_plans_reduce_the_initial_state_directly(chunk, monkeypatch):
             coins = random_coins(rng)
             work = np.full_like(init, math.nan)
             assert play_to_last_window(plan, coins, init, work)[0] is init
-            total = payoff._dense_total(plan, coins, init, work)
+            total = payoff._compile_window(plan, init, work)(coins)
             expected = payoff_expectation(run(plan, coins, StateVector(plan.total_qubits, init)))
             assert abs(total - expected) <= 1e-13, seq
             assert np.array_equal(init, before)
@@ -309,7 +310,7 @@ def spoiled_state_rejection(spoil: str) -> str:
 
     with pytest.MonkeyPatch.context() as patch:
         # "AAB" is one block, evaluated by the block route.
-        patch.setattr(payoff, "_block_total", evaluated)
+        patch.setattr(payoff, "_compile_blocks", lambda *args, **kwargs: evaluated)
         try:
             payoff_epsilon_expansion("AAB", init=amps)
         except ValueError as exc:
@@ -320,6 +321,19 @@ def spoiled_state_rejection(spoil: str) -> str:
 @pytest.mark.parametrize("spoil, message", SPOILED_STATES)
 def test_custom_state_is_rejected_at_construction(spoil, message):
     assert spoiled_state_rejection(spoil).startswith(message)
+
+
+@pytest.mark.parametrize("spoil, message", SPOILED_WINDOWS)
+def test_payoff_expectation_rejects_a_spoiled_state(spoil, message):
+    # A StateVector's amplitudes made writable again and spoiled: the norm
+    # the reduction sums goes through the StateVector rule, so no NaN or
+    # off-norm payoff comes out.
+    sv = make_named_state(3, "ghz")
+    sv.amplitudes.setflags(write=True)
+    sv.amplitudes[0] = math.nan if spoil == "nan" else 2 * sv.amplitudes[0]
+    with pytest.raises(ValueError) as rejected:
+        payoff_expectation(sv)
+    assert str(rejected.value).startswith(message)
 
 
 def test_final_norm_check_holds_under_python_O():
@@ -386,7 +400,8 @@ def test_one_window_dense_total_uses_no_work_buffer(monkeypatch):
     work = np.full_like(init, math.nan)
     windows = wiring._windows
     monkeypatch.setattr(wiring, "_windows", lambda plan, gates: iter(deque(windows(plan, gates), 1)))
-    peak = traced_peak(lambda: payoff._dense_total(plan, coins, init, work))
+    total_of = payoff._compile_window(plan, init, work)
+    peak = traced_peak(lambda: total_of(coins))
     assert peak < 0.1 * init.nbytes
     assert np.isnan(work).all()
 
@@ -534,8 +549,15 @@ def test_route_choice(seq, blocks, monkeypatch):
     # route; the others keep the window driver
     plan = compile_sequence(seq)
     taken, spans = [], []
-    monkeypatch.setattr(payoff, "_block_total", lambda *args: taken.append("block") or 0.0)
-    monkeypatch.setattr(payoff, "_dense_total", lambda *args: taken.append("window") or 0.0)
+    real = payoff._compile_blocks
+
+    def compile_blocks(*args, **kwargs):
+        real(*args, **kwargs)  # its density pass, which the spy below records
+        return lambda coins: taken.append("block") or 0.0
+
+    monkeypatch.setattr(payoff, "_compile_blocks", compile_blocks)
+    monkeypatch.setattr(payoff, "_compile_window",
+                        lambda *args: lambda coins: taken.append("window") or 0.0)
     monkeypatch.setattr(statevector, "_reduced_densities",
                         lambda amps, s, imag=False: spans.extend(s))
     init = make_basis_state(plan.total_qubits, "0" * plan.total_qubits)
@@ -565,9 +587,9 @@ def test_block_route_matches_the_window_driver_on_every_short_plan():
         plan = compile_sequence(seq)
         init = np.array(random_state(plan.total_qubits, rng).amplitudes)
         evaluator = Evaluator(seq, init)
-        work = np.empty_like(init)
+        window = payoff._compile_window(plan, init, np.empty_like(init))
         for coins in block_route_coins(rng) + (random_coins(rng),):
-            want = payoff._dense_total(plan, coins, init, work)
+            want = window(coins)
             assert abs(evaluator.payoff_of_coins(coins, normalize=False) - want) <= 1e-13, seq
 
 
@@ -643,9 +665,9 @@ def test_the_benchmark_input_agrees_on_both_routes():
     amps.imag = rng.standard_normal(amps.size)
     amps /= np.linalg.norm(amps)
     block = Evaluator(seq, amps).expansion()
-    work = np.empty_like(amps)
-    window = bias_expansion(lambda eps: per_qubit(
-        payoff._dense_total(plan, games_from_bias(eps), amps, work), plan.total_qubits))
+    total_of = payoff._compile_window(plan, amps, np.empty_like(amps))
+    window = bias_expansion(
+        lambda eps: per_qubit(total_of(games_from_bias(eps)), plan.total_qubits))
     assert abs(block.c0 - window[0]) <= 1e-15
     assert abs(block.c1 - window[1]) <= 1e-12
 
@@ -721,13 +743,27 @@ def test_every_dense_route_matches_the_reference_at_20_qubits(seq, block):
     rng = np.random.default_rng(1700)
     amps = np.array(random_state(20, rng).amplitudes)
     coins = random_coins(rng)
-    want = ref_total(ref_play(plan, coins, amps))
-    got = [
-        ref_total(run(plan, coins, amps).amplitudes),
-        payoff._dense_total(plan, coins, amps, np.empty_like(amps)),
-        Evaluator(seq, amps).payoff_of_coins(coins, normalize=False),
+    evaluator = Evaluator(seq, amps)
+    routes = [
+        lambda coins: ref_total(run(plan, coins, amps).amplitudes),
+        payoff._compile_window(plan, amps, np.empty_like(amps)),
+        lambda coins: evaluator.payoff_of_coins(coins, normalize=False),
     ]
+    want = ref_total(ref_play(plan, coins, amps))
+    got = [total_of(coins) for total_of in routes]
     assert all(abs(total - want) <= 1e-13 for total in got), (want, got)
+    # (c0, c1) of the total at random phases, by the same central difference
+    # on every route and on the reference: totals within 1e-13 at both
+    # biases cannot differ by more than 1e-13 / 1e-4 = 1e-9 in c1.
+    phases = random_phases(rng)
+
+    def expansion(total_of):
+        return bias_expansion(lambda eps: total_of(games_from_bias(eps, phases)))
+
+    want_c0, want_c1 = expansion(lambda coins: ref_total(ref_play(plan, coins, amps)))
+    got = [expansion(total_of) for total_of in routes]
+    assert all(abs(c0 - want_c0) <= 1e-13 for c0, _ in got), (want_c0, got)
+    assert all(abs(c1 - want_c1) <= 1e-9 for _, c1 in got), (want_c1, got)
 
 
 # --- quantum vs classical on basis inputs ---

@@ -22,7 +22,7 @@ from qparrondo.statevector import (
     make_basis_state,
     make_named_state,
 )
-from qparrondo.payoff import payoff_expectation
+from qparrondo.payoff import Evaluator, payoff_expectation
 from qparrondo.wiring import compile_sequence, run
 
 from helpers import (
@@ -760,7 +760,7 @@ def test_grouped_driver_matches_gate_loop(seq, seed, tile, row, real):
         out = run(plan, coins, init)
         work = np.full_like(init.amplitudes, math.nan)
         tiles = np.full((2, 1 << n), math.nan, dtype=complex)
-        total = payoff._dense_total(plan, coins, init.amplitudes, work, tiles)
+        total = payoff._compile_window(plan, init.amplitudes, work, tiles)(coins)
     assert np.allclose(out.amplitudes, expected, atol=ATOL, rtol=0.0)
     assert abs(total - payoff_expectation(out)) <= 1e-13
     assert abs(total - payoff_expectation(StateVector(n, expected))) <= 1e-13
@@ -797,7 +797,7 @@ def test_grouped_driver_at_the_real_tile_size(seq, phased):
     out = run(plan, coins, init)
     assert np.allclose(out.amplitudes, expected, atol=ATOL, rtol=0.0)
     work = np.empty_like(init.amplitudes)
-    total = payoff._dense_total(plan, coins, init.amplitudes, work)
+    total = payoff._compile_window(plan, init.amplitudes, work)(coins)
     assert abs(total - payoff_expectation(StateVector(n, expected))) <= 1e-13
     assert abs(total - payoff_expectation(out)) <= 1e-13
 
@@ -806,16 +806,27 @@ def test_grouped_driver_at_the_real_tile_size(seq, phased):
 MEMORY_QUBITS = 20
 
 
-def read_only_state_amplitudes(n, rng):
-    amps = random_state(n, rng).amplitudes
-    assert not amps.flags.writeable and amps.flags.owndata
-    return amps
-
-
-def test_adopting_a_read_only_array_allocates_no_state_sized_memory():
-    amps = read_only_state_amplitudes(MEMORY_QUBITS, np.random.default_rng(601))
-    peak = traced_peak(lambda: StateVector(MEMORY_QUBITS, amps))
-    assert peak < 0.1 * amps.nbytes
+@pytest.mark.parametrize("spoil", ["scale", "nan"])
+def test_a_state_vector_is_a_snapshot_of_a_read_only_array(spoil):
+    # Whoever owns a read-only array can make it writable again and change
+    # it.  The StateVector built on it, an Evaluator built on that (block
+    # route, which does not re-read a StateVector) and its payoff
+    # expectation must not see the change.
+    a = np.array(random_state(3, np.random.default_rng(601)).amplitudes)
+    before = a.copy()
+    a.setflags(write=False)
+    sv = StateVector(3, a)
+    ev = Evaluator("AAB", sv)
+    payoff, expectation = ev.payoff(), payoff_expectation(sv)
+    a.setflags(write=True)
+    if spoil == "scale":
+        a[:] = 0
+        a[3] = 2
+    else:
+        a[3] = math.nan
+    assert np.array_equal(sv.amplitudes, before)
+    assert ev.payoff() == payoff
+    assert payoff_expectation(sv) == expectation
 
 
 @pytest.mark.parametrize(

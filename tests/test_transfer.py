@@ -13,7 +13,6 @@ from qparrondo.optimize import optimize_phases
 from qparrondo.payoff import payoff_epsilon_expansion, payoff_expectation, sequence_payoff
 from qparrondo.statevector import make_named_state
 from qparrondo.table import build_table
-from qparrondo.transfer import transfer_total
 from qparrondo.wiring import compile_sequence, ghz_phase_sensitive, run
 
 from helpers import random_phases
@@ -58,7 +57,7 @@ def test_transfer_matches_dense_engine_on_fixed_arbitrary_coins(kind):
     angles = [(0.4, 1.3, 2.2), (0.9, 0.5, 4.1), (2.1, 3.7, 0.6), (-1.2, 5.2, 1.9), (2.6, 0.8, 3.4)]
     coins = np.array([su2_matrix(*coin) for coin in angles])
     plan = compile_sequence("ABBAB")
-    assert abs(transfer_total(plan, coins, kind) - dense_total(plan, coins, kind)) <= ATOL
+    assert abs(transfer._compile_walk(plan, kind)(coins) - dense_total(plan, coins, kind)) <= ATOL
 
 
 @PROPERTY
@@ -71,7 +70,7 @@ def test_transfer_matches_dense_engine_on_fixed_arbitrary_coins(kind):
 def test_transfer_matches_dense_engine(seq, phases, eps, kind):
     plan = compile_sequence(seq)
     coins = games_from_bias(eps, phases)
-    assert abs(transfer_total(plan, coins, kind) - dense_total(plan, coins, kind)) <= ATOL
+    assert abs(transfer._compile_walk(plan, kind)(coins) - dense_total(plan, coins, kind)) <= ATOL
 
 
 @PROPERTY
@@ -83,7 +82,7 @@ def test_transfer_matches_dense_engine(seq, phases, eps, kind):
 def test_transfer_matches_dense_engine_on_arbitrary_coins(seq, angles, kind):
     plan = compile_sequence(seq)
     coins = np.array([su2_matrix(*coin) for coin in angles])
-    assert abs(transfer_total(plan, coins, kind) - dense_total(plan, coins, kind)) <= ATOL
+    assert abs(transfer._compile_walk(plan, kind)(coins) - dense_total(plan, coins, kind)) <= ATOL
 
 
 @pytest.mark.parametrize("kind", ["zero", "ghz"])
@@ -93,7 +92,7 @@ def test_transfer_matches_dense_engine_on_large_registers(seq, kind):
     x = rng.uniform(0, 2 * math.pi, 10)
     coins = games_from_bias(0.01, PhaseAssignment(x[0], x[1], tuple(x[2:6]), tuple(x[6:])))
     plan = compile_sequence(seq)
-    assert abs(transfer_total(plan, coins, kind) - dense_total(plan, coins, kind)) <= ATOL
+    assert abs(transfer._compile_walk(plan, kind)(coins) - dense_total(plan, coins, kind)) <= ATOL
 
 
 @pytest.mark.parametrize("kind", ["zero", "ghz"])
@@ -108,7 +107,7 @@ def test_a_compiled_walk_matches_a_fresh_walk_at_every_coin_set(seq, kind):
     walk = transfer._compile_walk(plan, kind)
     for _ in range(60):
         coins = games_from_bias(rng.uniform(-0.09, 0.09), random_phases(rng))
-        assert walk(coins) == transfer_total(plan, coins, kind)
+        assert walk(coins) == transfer._compile_walk(plan, kind)(coins)
 
 
 # --- sequences beyond the dense cap ---
@@ -129,8 +128,8 @@ def test_aab_blocks_on_3000_qubits():
     assert plan.total_qubits == 3000
     coins = games_from_bias(0.0)
     # AAB blocks on the all-zero state do not feed each other: 1000 x 1/20.
-    assert transfer_total(plan, coins, "zero") == pytest.approx(50.0, abs=1e-9)
-    assert transfer_total(plan, coins, "ghz") == pytest.approx(0.0, abs=1e-9)
+    assert transfer._compile_walk(plan, "zero")(coins) == pytest.approx(50.0, abs=1e-9)
+    assert transfer._compile_walk(plan, "ghz")(coins) == pytest.approx(0.0, abs=1e-9)
 
 
 @pytest.mark.parametrize("repetitions", [12, 50])
@@ -173,7 +172,8 @@ def test_ghz_is_the_mean_of_two_classical_chains_on_every_short_phase_blind_plan
                 continue
             eps = rng.uniform(-0.09, 0.09)
             coins = games_from_bias(eps, random_phases(rng))
-            assert abs(transfer_total(plan, coins, "ghz") - two_chain_total(seq, eps)) <= 1e-13, seq
+            walk = transfer._compile_walk(plan, "ghz")(coins)
+            assert abs(walk - two_chain_total(seq, eps)) <= 1e-13, seq
             plans += 1
     assert plans == 1991
 
@@ -194,19 +194,12 @@ def test_ghz_is_the_mean_of_two_classical_chains_on_long_plans(length, b_share, 
     seq = "".join(np.where(rng.random(length) < b_share, "B", "A"))
     plan = compile_sequence(seq)
     assume(not ghz_phase_sensitive(plan))
-    walk = transfer_total(plan, games_from_bias(eps, phases), "ghz")
+    walk = transfer._compile_walk(plan, "ghz")(games_from_bias(eps, phases))
     assert abs(walk - two_chain_total(seq, eps)) <= 1e-12 * plan.total_qubits
 
 # --- checks the walk shares with the dense engine ---
 
 def test_unknown_kind_is_rejected():
-    coins = games_from_bias(0.0)
-    with pytest.raises(ValueError, match="uniform"):
-        transfer_total(compile_sequence("AB"), coins, "uniform")
-    # A non-string kind gets the same message, not an unhashable-type error.
-    for kind in (np.array([1.0, 0.0]), ["ghz"]):
-        with pytest.raises(ValueError, match=r"use \('zero', 'ghz'\)"):
-            transfer_total(compile_sequence("AB"), coins, kind)
     with pytest.raises(ValueError, match="unknown initial-state kind"):
         sequence_payoff("AB", init="uniform")
 
@@ -217,11 +210,7 @@ def test_coin_matrices_are_checked():
         coins = games_from_bias(0.0)
         coins[k] = 1.5 * np.eye(2)
         with pytest.raises(ValueError, match="not unitary"):
-            transfer_total(plan, coins, "ghz")
-        with pytest.raises(ValueError, match="not unitary"):
             run(plan, coins, "ghz")
-    with pytest.raises(ValueError, match=r"shape \(5, 2, 2\)"):
-        transfer_total(plan, games_from_bias(0.0)[1:], "ghz")
     with pytest.raises(ValueError, match=r"shape \(5, 2, 2\)"):
         run(plan, games_from_bias(0.0)[1:], "ghz")
 
@@ -254,7 +243,7 @@ def test_non_finite_angle_is_rejected_by_both_backends(angles):
         before = init.amplitudes.copy()
         for k in (0, 1, 4):
             with pytest.raises(ValueError):
-                transfer_total(plan, coins_with(angles, k), kind)
+                transfer._compile_walk(plan, kind)(coins_with(angles, k))
             with pytest.raises(ValueError):
                 run(plan, coins_with(angles, k), init)
         assert np.array_equal(init.amplitudes, before)
@@ -264,7 +253,7 @@ def test_norm_drift_is_rejected(monkeypatch):
     monkeypatch.setitem(statevector.NAMED_STATES, "ghz", (1.0, 1.0))
     coins = games_from_bias(0.0)
     with pytest.raises(ValueError, match="normalization"):
-        transfer_total(compile_sequence("AAB"), coins, "ghz")
+        transfer._compile_walk(compile_sequence("AAB"), "ghz")(coins)
 
 
 # --- backend selection ---
@@ -275,8 +264,8 @@ def _fail(*args, **kwargs):
 
 @pytest.mark.parametrize("kind", ["zero", "ghz"])
 def test_named_states_take_the_transfer_walk(monkeypatch, kind):
-    monkeypatch.setattr(payoff, "_dense_total", _fail)
-    monkeypatch.setattr(payoff, "_block_total", _fail)
+    monkeypatch.setattr(payoff, "_compile_window", _fail)
+    monkeypatch.setattr(payoff, "_compile_blocks", _fail)
     monkeypatch.setattr(payoff, "initial_amplitudes", _fail)
     assert math.isfinite(sequence_payoff("ABBAB", 0.01, init=kind))
     assert math.isfinite(payoff_epsilon_expansion("ABBAB", init=kind).c1)

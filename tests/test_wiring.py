@@ -12,7 +12,6 @@ from qparrondo import wiring as wiring_module
 from qparrondo.coins import games_from_bias
 from qparrondo.payoff import Evaluator
 from qparrondo.statevector import make_basis_state, make_named_state, window_span
-from qparrondo.transfer import transfer_total
 from qparrondo.wiring import compile_sequence, ghz_phase_sensitive, initial_amplitudes, run
 
 from helpers import random_phases
@@ -211,15 +210,15 @@ def test_run_takes_every_initial_state_evaluator_takes():
 
 
 def count_coin_checks(monkeypatch):
-    """Count the calls of check_coins from every module that binds it."""
+    """Count the calls of check_coins from ``wiring``, the one module that
+    binds it."""
     calls = []
 
     def counted(coins):
         calls.append(1)
         return statevector.check_coins(coins)
 
-    for module in ("wiring", "transfer"):
-        monkeypatch.setattr(f"qparrondo.{module}.check_coins", counted)
+    monkeypatch.setattr(wiring_module, "check_coins", counted)
     return calls
 
 
@@ -232,14 +231,10 @@ def test_evaluations_trust_the_coins_they_build(monkeypatch, init):
     assert calls == []
 
 
-def test_run_and_transfer_total_check_a_callers_coins_once(monkeypatch):
+def test_run_checks_a_callers_coins_once(monkeypatch):
     calls = count_coin_checks(monkeypatch)
-    plan = compile_sequence("ABBAB")
-    coins = games_from_bias(0.01)
-    run(plan, coins, "ghz")
+    run(compile_sequence("ABBAB"), games_from_bias(0.01), "ghz")
     assert len(calls) == 1
-    transfer_total(plan, coins, "ghz")
-    assert len(calls) == 2
 
 
 def test_run_single_b_from_all_zero():
